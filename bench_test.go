@@ -27,7 +27,6 @@ import (
 	"netanomaly/internal/netmeas"
 	"netanomaly/internal/tomo"
 	"netanomaly/internal/topology"
-	"netanomaly/internal/wavelet"
 )
 
 // sweepStride subsamples the injection day in sweep-based benchmarks so a
@@ -758,31 +757,6 @@ func BenchmarkCovTrackerRefresh(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := tr.Model(5); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkMultiscaleDetector times fitting and scanning the Section 7.3
-// wavelet-domain detector at three scales on a paper-sized week.
-func BenchmarkMultiscaleDetector(b *testing.B) {
-	// 1024 bins (dyadic) on Abilene.
-	topo := experiments.AbileneSim().Topo
-	y := mat.Zeros(1024, topo.NumLinks())
-	links := experiments.AbileneSim().Links
-	for bi := 0; bi < 1008; bi++ {
-		y.SetRow(bi, links.RowView(bi))
-	}
-	for bi := 1008; bi < 1024; bi++ {
-		y.SetRow(bi, links.RowView(bi-144))
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		md, err := wavelet.NewMultiscaleDetector(y, 3, 0.999)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if _, err := md.Detect(y); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -1,6 +1,7 @@
 package netanomaly
 
 import (
+	"bytes"
 	"context"
 	"io"
 	"os"
@@ -111,6 +112,27 @@ func LoadMatrixBinary(path string) (*Matrix, error) {
 	}
 	defer f.Close()
 	return ReadMatrixBinary(f)
+}
+
+// LoadMatrix reads a link matrix in either encoding — the binary wire
+// format or CSV — deciding by the binary magic bytes rather than a flag
+// or file extension. Path "-" reads standard input.
+func LoadMatrix(path string) (*Matrix, error) {
+	var data []byte
+	var err error
+	if path == "-" {
+		data, err = io.ReadAll(os.Stdin)
+	} else {
+		data, err = os.ReadFile(path)
+	}
+	if err != nil {
+		return nil, err
+	}
+	if bytes.HasPrefix(data, []byte("NAMB")) {
+		return ReadMatrixBinary(bytes.NewReader(data))
+	}
+	m, _, err := ReadMatrixCSV(bytes.NewReader(data))
+	return m, err
 }
 
 // StreamBinary decodes a binary stream into LinkMeasurements on a

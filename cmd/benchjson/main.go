@@ -20,7 +20,7 @@
 // numbers move with the hardware.
 //
 // With -scorecard the tool instead regenerates SCORECARD.json — the
-// nine-backend × attack-scenario detection/false-alarm/identification
+// eight-backend × attack-scenario detection/false-alarm/identification
 // matrix over the scenario library (deterministic in its seed, so the
 // file is identical on every machine), each cell also recording how
 // many incidents the correlation layer condenses its alarms into — and,

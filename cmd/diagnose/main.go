@@ -23,7 +23,6 @@
 //	subspace     windowed subspace method (default)
 //	incremental  covariance-tracking refits, -lambda forgetting,
 //	             -drift-tol rebuild gate
-//	multiscale   one model per wavelet scale (-levels), region alarms
 //	multiflow    one model per metric with voting (-metrics names the
 //	             CSV's stacked column blocks, -quorum the vote); write
 //	             such a CSV with trafficgen -metrics
@@ -74,29 +73,21 @@
 //	diagnose -topology abilene -links week.csv -stream -history 1008 \
 //	    -detector hybrid -incidents
 //
-// With -listen the command becomes a small live analyzer: the whole
-// -links matrix seeds the model, then binary streams are accepted on
-// the TCP address and ingested through the pooled zero-allocation
-// path, alarms printing as they are raised. It exits after -conns
-// connections (default 1 — diagnose stays a one-shot tool; run
-// cmd/ingestd to serve indefinitely).
-//
-//	diagnose -links week.bin -listen 127.0.0.1:7600 -detector sketch
+// diagnose reads one matrix and exits. To serve live binary streams
+// over TCP, a unix socket or stdin, run cmd/ingestd.
 package main
 
 import (
-	"bytes"
 	"context"
 	"flag"
 	"fmt"
-	"io"
-	"net"
 	"os"
 	"strconv"
 	"strings"
 	"sync"
 
 	"netanomaly"
+	"netanomaly/internal/topology"
 )
 
 func main() {
@@ -108,11 +99,10 @@ func main() {
 	historyBins := flag.Int("history", 1008, "streaming: bins that seed the model (the paper's week is 1008)")
 	batchSize := flag.Int("batch", 64, "streaming: bins per dispatched batch")
 	refitEvery := flag.Int("refit", 0, "streaming: background-refit interval in bins (0 = never)")
-	detector := flag.String("detector", "subspace", "streaming backend: subspace, incremental, multiscale, multiflow, ewma, holtwinters, fourier, hybrid, or sketch")
+	detector := flag.String("detector", "subspace", "streaming backend: subspace, incremental, multiflow, ewma, holtwinters, fourier, hybrid, or sketch")
 	sketchSize := flag.Int("sketch-size", 0, "sketch: Frequent-Directions rows (0 = 4x model rank)")
 	lambda := flag.Float64("lambda", 1, "incremental: covariance forgetting factor in (0,1]")
 	driftTol := flag.Float64("drift-tol", 0, "incremental: min residual-projector drift before a rebuild swaps in (0 = always)")
-	levels := flag.Int("levels", 3, "multiscale: wavelet depth")
 	metrics := flag.String("metrics", "bytes,flows,pktsize", "multiflow: names of the CSV's stacked metric blocks")
 	quorum := flag.Int("quorum", 1, "multiflow: how many metrics must flag a bin")
 	alpha := flag.Float64("alpha", 0, "ewma/holtwinters: level smoothing gain (0 = ewma grid search at seed, holtwinters 0.3)")
@@ -128,16 +118,13 @@ func main() {
 	autoscale := flag.String("autoscale", "", "streaming: elastic worker pool as min:max (empty = fixed pool)")
 	burst := flag.Int("burst", 0, "streaming: ingest the stream in bursts of this many bins at once instead of replaying it bin by bin (stress mode; pair with -max-pending)")
 	restorePath := flag.String("restore", "", "streaming: warm-start the view from a checkpoint file (as written by ingestd -checkpoint) instead of starting fresh; -history/-detector flags must match the checkpointed run")
-	listen := flag.String("listen", "", "accept binary streams on this TCP address instead of replaying the tail of -links (seeds on the whole matrix)")
-	conns := flag.Int("conns", 1, "listen mode: exit after this many connections")
-	codecPolicy := flag.String("codec", "any", "listen mode: accept streams with this codec — any, raw, or xor (v1 streams count as raw)")
 	flag.Parse()
 
-	topo, err := parseTopology(*topoName)
+	topo, err := topology.Parse(*topoName)
 	if err != nil {
 		fatal(err)
 	}
-	links, err := loadLinks(*linksPath)
+	links, err := netanomaly.LoadMatrix(*linksPath)
 	if err != nil {
 		fatal(err)
 	}
@@ -147,21 +134,24 @@ func main() {
 			history:    *historyBins,
 			batch:      *batchSize,
 			refitEvery: *refitEvery,
-			kind:       netanomaly.DetectorKind(*detector),
-			lambda:     *lambda,
-			driftTol:   *driftTol,
-			levels:     *levels,
-			metrics:    strings.Split(*metrics, ","),
-			quorum:     *quorum,
-			alpha:      *alpha,
-			beta:       *beta,
-			thresholdK: *thresholdK,
-			triage:     netanomaly.DetectorKind(*triage),
-			escalation: *escalation,
-			hysteresis: *hysteresis,
+			// Each backend reads only the options that apply to it, and
+			// AddView rejects an unknown -detector.
+			viewOpts: []netanomaly.ViewOption{
+				netanomaly.WithDetectorKind(*detector),
+				netanomaly.WithLambda(*lambda),
+				netanomaly.WithDriftTolerance(*driftTol),
+				netanomaly.WithSketchSize(*sketchSize),
+				netanomaly.WithMetrics(strings.Split(*metrics, ",")...),
+				netanomaly.WithQuorum(*quorum),
+				netanomaly.WithAlpha(*alpha),
+				netanomaly.WithBeta(*beta),
+				netanomaly.WithThresholdK(*thresholdK),
+				netanomaly.WithTriageKind(netanomaly.DetectorKind(*triage)),
+				netanomaly.WithEscalation(*escalation),
+				netanomaly.WithHysteresis(*hysteresis),
+			},
 			incidents:  *incidents,
 			quiet:      *quietPeriod,
-			sketchSize: *sketchSize,
 			maxPending: *maxPending,
 			burst:      *burst,
 			restore:    *restorePath,
@@ -182,29 +172,8 @@ func main() {
 		runStream(topo, links, sc, opts)
 		return
 	}
-	if *listen != "" {
-		sc := streamConfig{
-			batch:      *batchSize,
-			refitEvery: *refitEvery,
-			kind:       netanomaly.DetectorKind(*detector),
-			lambda:     *lambda,
-			driftTol:   *driftTol,
-			sketchSize: *sketchSize,
-			maxPending: *maxPending,
-		}
-		if sc.overload, err = netanomaly.ParseOverloadPolicy(*overload); err != nil {
-			fatal(err)
-		}
-		switch *codecPolicy {
-		case "any", "raw", "xor":
-		default:
-			fatal(fmt.Errorf("-codec %q: want any, raw, or xor", *codecPolicy))
-		}
-		runListen(topo, links, sc, opts, *listen, *conns, *codecPolicy)
-		return
-	}
 	if *detector != string(netanomaly.DetectorSubspace) {
-		fatal(fmt.Errorf("-detector %s needs -stream or -listen; the one-shot fit is always the subspace method", *detector))
+		fatal(fmt.Errorf("-detector %s needs -stream; the one-shot fit is always the subspace method", *detector))
 	}
 	diag, err := netanomaly.NewDiagnoser(links, topo, opts)
 	if err != nil {
@@ -229,21 +198,9 @@ type streamConfig struct {
 	history                    int
 	batch                      int
 	refitEvery                 int
-	kind                       netanomaly.DetectorKind
-	lambda                     float64
-	driftTol                   float64
-	levels                     int
-	metrics                    []string
-	quorum                     int
-	alpha                      float64
-	beta                       float64
-	thresholdK                 float64
-	triage                     netanomaly.DetectorKind
-	escalation                 string
-	hysteresis                 int
+	viewOpts                   []netanomaly.ViewOption
 	incidents                  bool
 	quiet                      int
-	sketchSize                 int
 	maxPending                 int
 	overload                   netanomaly.OverloadPolicy
 	autoscale                  bool
@@ -286,24 +243,6 @@ func runStream(topo *netanomaly.Topology, links *netanomaly.Matrix, sc streamCon
 	}
 	if sc.batch <= 0 {
 		sc.batch = 64 // engine default; normalized here so the banner matches
-	}
-	viewOpts := []netanomaly.ViewOption{netanomaly.WithDetector(sc.kind)}
-	switch sc.kind {
-	case netanomaly.DetectorIncremental:
-		viewOpts = append(viewOpts, netanomaly.WithLambda(sc.lambda), netanomaly.WithDriftTolerance(sc.driftTol))
-	case netanomaly.DetectorSketch:
-		viewOpts = append(viewOpts, netanomaly.WithSketchSize(sc.sketchSize), netanomaly.WithDriftTolerance(sc.driftTol))
-	case netanomaly.DetectorMultiscale:
-		viewOpts = append(viewOpts, netanomaly.WithLevels(sc.levels))
-	case netanomaly.DetectorMultiFlow:
-		viewOpts = append(viewOpts, netanomaly.WithMetrics(sc.metrics...), netanomaly.WithQuorum(sc.quorum))
-	case netanomaly.DetectorEWMA, netanomaly.DetectorHoltWinters, netanomaly.DetectorFourier:
-		viewOpts = append(viewOpts, netanomaly.WithAlpha(sc.alpha), netanomaly.WithBeta(sc.beta), netanomaly.WithThresholdK(sc.thresholdK))
-	case netanomaly.DetectorHybrid:
-		viewOpts = append(viewOpts,
-			netanomaly.WithTriageKind(sc.triage), netanomaly.WithEscalation(sc.escalation),
-			netanomaly.WithHysteresis(sc.hysteresis),
-			netanomaly.WithAlpha(sc.alpha), netanomaly.WithBeta(sc.beta), netanomaly.WithThresholdK(sc.thresholdK))
 	}
 	// The detectors copy seed rows into their own state, so the history
 	// view can alias the loaded matrix.
@@ -363,7 +302,7 @@ func runStream(topo *netanomaly.Topology, links *netanomaly.Matrix, sc streamCon
 		if err != nil {
 			fatal(err)
 		}
-		spec := netanomaly.ViewSpec{History: history, Topo: topo, Options: viewOpts}
+		spec := netanomaly.ViewSpec{History: history, Topo: topo, Options: sc.viewOpts}
 		mon, err = netanomaly.Restore(monCfg, f, []netanomaly.ViewSpec{spec}, monOpts...)
 		f.Close()
 		if err != nil {
@@ -376,7 +315,7 @@ func runStream(topo *netanomaly.Topology, links *netanomaly.Matrix, sc streamCon
 		view = views[0]
 	} else {
 		mon = netanomaly.NewMonitor(monCfg, monOpts...)
-		if err := netanomaly.AddView(mon, view, history, topo, viewOpts...); err != nil {
+		if err := netanomaly.AddView(mon, view, history, topo, sc.viewOpts...); err != nil {
 			fatal(err)
 		}
 	}
@@ -392,10 +331,9 @@ func runStream(topo *netanomaly.Topology, links *netanomaly.Matrix, sc streamCon
 	}
 	rankNote := fmt.Sprintf("rank %d", stats.Rank)
 	if stats.Rank == 0 {
-		// The multiscale backend keeps one model per wavelet scale, the
-		// forecast backends one forecaster per link; neither has a single
-		// subspace rank to report.
-		rankNote = "per-scale/per-link models"
+		// The forecast backends keep one forecaster per link, with no
+		// single subspace rank to report.
+		rankNote = "per-link models"
 	}
 	if sc.restore != "" {
 		fmt.Printf("streaming: %s model restored from %s at bin %d (%d measurement columns, %s), %d bins to go in batches of %d\n",
@@ -468,106 +406,12 @@ func runStream(topo *netanomaly.Topology, links *netanomaly.Matrix, sc streamCon
 	}
 }
 
-// loadLinks reads the link matrix from a file or stdin, sniffing the
-// encoding from the binary format's magic bytes.
-func loadLinks(path string) (*netanomaly.Matrix, error) {
-	var data []byte
-	var err error
-	if path == "-" {
-		data, err = io.ReadAll(os.Stdin)
-	} else {
-		data, err = os.ReadFile(path)
-	}
-	if err != nil {
-		return nil, err
-	}
-	if len(data) >= 4 && string(data[:4]) == "NAMB" {
-		return netanomaly.ReadMatrixBinary(bytes.NewReader(data))
-	}
-	m, _, err := netanomaly.ReadMatrixCSV(bytes.NewReader(data))
-	return m, err
-}
-
-// runListen seeds a shard on the whole loaded matrix and ingests
-// binary streams from TCP connections through the pooled path,
-// printing alarms live — the analyzer end of a trafficgen/collector
-// pipe, exiting after a fixed number of connections.
-func runListen(topo *netanomaly.Topology, history *netanomaly.Matrix, sc streamConfig, opts netanomaly.Options, addr string, conns int, codecPolicy string) {
-	if conns <= 0 {
-		fatal(fmt.Errorf("listen mode: -conns must be positive, got %d", conns))
-	}
-	var alarmMu sync.Mutex
-	alarms := 0
-	mon := netanomaly.NewMonitor(netanomaly.MonitorConfig{
-		BatchSize:  sc.batch,
-		RefitEvery: sc.refitEvery,
-		Options:    opts,
-		OnAlarm: func(a netanomaly.MonitorAlarm) {
-			alarmMu.Lock()
-			defer alarmMu.Unlock()
-			alarms++
-			printAlarm(topo, a.Seq, a.Diagnosis)
-		},
-	}, netanomaly.WithMaxPending(sc.maxPending), netanomaly.WithOverloadPolicy(sc.overload))
-	viewOpts := []netanomaly.ViewOption{netanomaly.WithDetector(sc.kind)}
-	switch sc.kind {
-	case netanomaly.DetectorIncremental:
-		viewOpts = append(viewOpts, netanomaly.WithLambda(sc.lambda), netanomaly.WithDriftTolerance(sc.driftTol))
-	case netanomaly.DetectorSketch:
-		viewOpts = append(viewOpts, netanomaly.WithSketchSize(sc.sketchSize), netanomaly.WithDriftTolerance(sc.driftTol))
-	}
-	const view = "live"
-	if err := netanomaly.AddView(mon, view, history, topo, viewOpts...); err != nil {
-		fatal(err)
-	}
-	stats, err := mon.ViewStats(view)
-	if err != nil {
-		fatal(err)
-	}
-	ln, err := net.Listen("tcp", addr)
-	if err != nil {
-		fatal(err)
-	}
-	defer ln.Close()
-	fmt.Printf("listening on %s: %s model seeded on %d bins (%d links, rank %d), %d connection(s) then exit\n",
-		ln.Addr(), stats.Backend, history.Rows(), stats.Links, stats.Rank, conns)
-	printHeader()
-	failed := false
-	for c := 0; c < conns; c++ {
-		conn, err := ln.Accept()
-		if err != nil {
-			fatal(err)
-		}
-		dec, err := netanomaly.NewBinaryDecoder(conn)
-		if err == nil && codecPolicy != "any" && dec.Codec().String() != codecPolicy {
-			err = fmt.Errorf("stream codec %s refused (-codec %s)", dec.Codec(), codecPolicy)
-		} else if err == nil {
-			err = mon.IngestBinary(view, dec)
-		}
-		conn.Close()
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "diagnose:", err)
-			failed = true
-		}
-	}
-	mon.Close()
-	for _, err := range mon.Errs() {
-		fmt.Fprintln(os.Stderr, "diagnose:", err)
-		failed = true
-	}
-	vs, _ := mon.ViewStats(view)
-	fmt.Printf("%d alarms over %d streamed bins\n", alarms, vs.Processed)
-	if failed {
-		os.Exit(1)
-	}
-}
-
 func printHeader() {
 	fmt.Printf("%6s %14s %14s %-16s %14s\n", "bin", "SPE", "threshold", "flow", "bytes")
 }
 
 func printAlarm(topo *netanomaly.Topology, bin int, d netanomaly.Diagnosis) {
-	flow := "-" // multiscale alarms localize in time, not to a flow
+	flow := "-" // forecast alarms localize in time and link, not to a flow
 	if d.Flow >= 0 {
 		flow = topo.FlowName(d.Flow)
 	}
@@ -590,35 +434,6 @@ func printIncident(topo *netanomaly.Topology, base int, e netanomaly.IncidentEve
 	case netanomaly.IncidentClosed:
 		fmt.Printf("incident #%d closed: %s, bins %d..%d, peak SPE %.4g, %.4g bytes, %d alarms, %d views, severity %.4g\n",
 			inc.ID, what, base+inc.StartSeq, base+inc.EndSeq, inc.PeakSPE, inc.Bytes, inc.Alarms, len(inc.Views), inc.Severity())
-	}
-}
-
-func parseTopology(name string) (*netanomaly.Topology, error) {
-	switch {
-	case name == "abilene":
-		return netanomaly.Abilene(), nil
-	case name == "sprint":
-		return netanomaly.SprintEurope(), nil
-	case strings.HasPrefix(name, "synthetic:"):
-		parts := strings.Split(name, ":")
-		if len(parts) != 4 {
-			return nil, fmt.Errorf("synthetic topology: want synthetic:<pops>:<edges>:<seed>")
-		}
-		pops, err := strconv.Atoi(parts[1])
-		if err != nil {
-			return nil, err
-		}
-		edges, err := strconv.Atoi(parts[2])
-		if err != nil {
-			return nil, err
-		}
-		seed, err := strconv.ParseInt(parts[3], 10, 64)
-		if err != nil {
-			return nil, err
-		}
-		return netanomaly.SyntheticTopology(pops, edges, seed), nil
-	default:
-		return nil, fmt.Errorf("unknown topology %q", name)
 	}
 }
 

@@ -48,13 +48,13 @@ import (
 	"os"
 	"os/signal"
 	"path/filepath"
-	"strings"
 	"sync"
 	"sync/atomic"
 	"syscall"
 	"time"
 
 	"netanomaly"
+	"netanomaly/internal/topology"
 )
 
 func main() {
@@ -64,7 +64,7 @@ func main() {
 	socketPath := flag.String("socket", "", "unix socket path (empty to disable)")
 	useStdin := flag.Bool("stdin", false, "also ingest one binary stream from stdin")
 	conns := flag.Int("conns", 0, "exit after this many connections (0 = serve until signalled)")
-	detector := flag.String("detector", "subspace", "shard backend: subspace, incremental, sketch, multiscale, ewma, holtwinters, fourier, or hybrid")
+	detector := flag.String("detector", "subspace", "shard backend: subspace, incremental, sketch, multiflow, ewma, holtwinters, fourier, or hybrid")
 	sketchSize := flag.Int("sketch-size", 0, "sketch: Frequent-Directions rows (0 = 4x model rank)")
 	lambda := flag.Float64("lambda", 1, "incremental: covariance forgetting factor in (0,1]")
 	driftTol := flag.Float64("drift-tol", 0, "incremental/sketch: min residual drift before a rebuild swaps in")
@@ -94,25 +94,24 @@ func main() {
 	if *listenAddr == "" && *socketPath == "" && !*useStdin {
 		fatal(errors.New("nothing to ingest: set -listen, -socket, or -stdin"))
 	}
-	topo, err := parseTopology(*topoName)
+	topo, err := topology.Parse(*topoName)
 	if err != nil {
 		fatal(err)
 	}
-	history, err := loadMatrixSniffed(*historyPath)
+	history, err := netanomaly.LoadMatrix(*historyPath)
 	if err != nil {
 		fatal(err)
 	}
+	// Each backend reads only the options that apply to it, and AddView
+	// rejects an unknown -detector.
 	kind := netanomaly.DetectorKind(*detector)
-	viewOpts := []netanomaly.ViewOption{netanomaly.WithDetector(kind)}
-	switch kind {
-	case netanomaly.DetectorSubspace, netanomaly.DetectorMultiscale,
-		netanomaly.DetectorEWMA, netanomaly.DetectorHoltWinters,
-		netanomaly.DetectorFourier, netanomaly.DetectorHybrid:
-	case netanomaly.DetectorIncremental:
-		viewOpts = append(viewOpts, netanomaly.WithLambda(*lambda), netanomaly.WithDriftTolerance(*driftTol))
-	case netanomaly.DetectorSketch:
-		viewOpts = append(viewOpts, netanomaly.WithSketchSize(*sketchSize), netanomaly.WithDriftTolerance(*driftTol))
-	case netanomaly.DetectorMultiFlow:
+	viewOpts := []netanomaly.ViewOption{
+		netanomaly.WithDetector(kind),
+		netanomaly.WithSketchSize(*sketchSize),
+		netanomaly.WithLambda(*lambda),
+		netanomaly.WithDriftTolerance(*driftTol),
+	}
+	if kind == netanomaly.DetectorMultiFlow {
 		// The multi-metric backend wants bins x (metrics x links)
 		// columns; the NAMB decoder is width-agnostic, so a stacked
 		// stream flows through unchanged once -metrics declares how many
@@ -121,10 +120,7 @@ func main() {
 			fatal(errors.New("-detector multiflow needs -metrics > 1: the wire must carry column-stacked metric blocks (see trafficgen -metrics)"))
 		}
 		viewOpts = append(viewOpts, netanomaly.WithMetrics(metricNames(*metricsN)...))
-	default:
-		fatal(fmt.Errorf("unknown -detector %q", kind))
-	}
-	if kind != netanomaly.DetectorMultiFlow && *metricsN != 1 {
+	} else if *metricsN != 1 {
 		fatal(fmt.Errorf("-metrics %d: only -detector multiflow consumes stacked metric streams", *metricsN))
 	}
 	policy, err := netanomaly.ParseOverloadPolicy(*overload)
@@ -491,42 +487,6 @@ func printIncident(topo *netanomaly.Topology, e netanomaly.IncidentEvent) {
 		fmt.Printf("incident #%d closed: %s, bins %d..%d, peak SPE %.4g, %.4g bytes, %d alarms, %d views, severity %.4g\n",
 			inc.ID, what, inc.StartSeq, inc.EndSeq, inc.PeakSPE, inc.Bytes,
 			inc.Alarms, len(inc.Views), inc.Severity())
-	}
-}
-
-// loadMatrixSniffed reads a link matrix in either supported encoding,
-// deciding by the binary magic bytes rather than a flag or extension.
-func loadMatrixSniffed(path string) (*netanomaly.Matrix, error) {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return nil, err
-	}
-	if len(data) >= 4 && string(data[:4]) == "NAMB" {
-		return netanomaly.ReadMatrixBinary(bytes.NewReader(data))
-	}
-	m, _, err := netanomaly.ReadMatrixCSV(bytes.NewReader(data))
-	return m, err
-}
-
-func parseTopology(name string) (*netanomaly.Topology, error) {
-	switch {
-	case name == "abilene":
-		return netanomaly.Abilene(), nil
-	case name == "sprint":
-		return netanomaly.SprintEurope(), nil
-	case strings.HasPrefix(name, "synthetic:"):
-		parts := strings.Split(name, ":")
-		if len(parts) != 4 {
-			return nil, fmt.Errorf("synthetic topology: want synthetic:<pops>:<edges>:<seed>")
-		}
-		var pops, edges int
-		var seed int64
-		if _, err := fmt.Sscanf(parts[1]+" "+parts[2]+" "+parts[3], "%d %d %d", &pops, &edges, &seed); err != nil {
-			return nil, fmt.Errorf("synthetic topology %q: %w", name, err)
-		}
-		return netanomaly.SyntheticTopology(pops, edges, seed), nil
-	default:
-		return nil, fmt.Errorf("unknown topology %q", name)
 	}
 }
 

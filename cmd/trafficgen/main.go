@@ -42,6 +42,7 @@ import (
 	"strings"
 
 	"netanomaly"
+	"netanomaly/internal/topology"
 )
 
 type anomalyFlags []netanomaly.Anomaly
@@ -87,7 +88,7 @@ func main() {
 	flag.Var(&anomalies, "anomaly", "inject flow,bin,delta (repeatable)")
 	flag.Parse()
 
-	topo, err := parseTopology(*topoName, *seed)
+	topo, err := topology.ParseSeeded(*topoName, *seed)
 	if err != nil {
 		fatal(err)
 	}
@@ -237,31 +238,6 @@ func main() {
 			}
 			fmt.Fprintf(banner, "scenario truth bin %d: %s\n", tb.Bin, flow)
 		}
-	}
-}
-
-func parseTopology(name string, seed int64) (*netanomaly.Topology, error) {
-	switch {
-	case name == "abilene":
-		return netanomaly.Abilene(), nil
-	case name == "sprint":
-		return netanomaly.SprintEurope(), nil
-	case strings.HasPrefix(name, "synthetic:"):
-		parts := strings.Split(name, ":")
-		if len(parts) != 3 {
-			return nil, fmt.Errorf("synthetic topology: want synthetic:<pops>:<edges>")
-		}
-		pops, err := strconv.Atoi(parts[1])
-		if err != nil {
-			return nil, err
-		}
-		edges, err := strconv.Atoi(parts[2])
-		if err != nil {
-			return nil, err
-		}
-		return netanomaly.SyntheticTopology(pops, edges, seed), nil
-	default:
-		return nil, fmt.Errorf("unknown topology %q", name)
 	}
 }
 

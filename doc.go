@@ -98,13 +98,6 @@
 //     drifts. WithDriftTolerance skips rebuild swaps while the residual
 //     projector has moved less than the tolerance, exploiting the
 //     paper's observation that P P^T is stable week to week.
-//   - DetectorMultiscale (WithLevels): one subspace model per wavelet
-//     scale (Section 7.3). Levels = 3 tests 2-, 4- and 8-bin features;
-//     each extra level needs twice the history (links * 2^levels seed
-//     bins minimum) and adds detection latency of up to 2^levels bins.
-//     It catches sustained, slowly building anomalies that single-bin
-//     detectors miss; alarms localize in time (Flow is -1), so pair it
-//     with a subspace shard on the same view for identification.
 //   - DetectorMultiFlow (WithMetrics, WithQuorum): one subspace model
 //     per traffic metric — bytes, IP-flow counts, mean packet size
 //     (Section 7.2) — over shared routing, with history and batches
@@ -154,8 +147,7 @@
 // (internal/netmeas), offline temporal baselines (internal/timeseries)
 // and their streaming detector forms (internal/forecast), the
 // subspace method, the ViewDetector contract and the incremental
-// backend (internal/core), the wavelet transform and the multiscale
-// backend (internal/wavelet), the concurrent streaming engine
+// backend (internal/core), the concurrent streaming engine
 // (internal/engine), and the paper's full evaluation (internal/eval,
 // internal/experiments).
 package netanomaly

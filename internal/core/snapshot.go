@@ -66,6 +66,9 @@ const (
 const (
 	SnapKindSubspace    byte = 1
 	SnapKindIncremental byte = 2
+	// SnapKindMultiscale belonged to the retired wavelet backend. It
+	// stays reserved and named so an old multiscale checkpoint is
+	// refused as a mismatch rather than misread; never reuse it.
 	SnapKindMultiscale  byte = 3
 	SnapKindMultiflow   byte = 4
 	SnapKindEWMA        byte = 5

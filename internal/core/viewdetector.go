@@ -11,7 +11,7 @@ import (
 // shard without knowing which implementation is behind it.
 type ViewStats struct {
 	// Backend names the implementation ("subspace", "incremental",
-	// "multiscale", "multiflow", ...).
+	// "multiflow", "ewma", ...).
 	Backend string
 	// Links is the expected measurement-vector width. For backends that
 	// consume several stacked metric blocks this is the total stacked
@@ -20,8 +20,8 @@ type ViewStats struct {
 	// Processed is the number of measurement bins seen since creation.
 	Processed int
 	// Rank is the normal-subspace dimension of the active model, or 0
-	// when the backend has no single meaningful rank (e.g. one model per
-	// wavelet scale).
+	// when the backend has no single meaningful rank (e.g. one forecaster
+	// per link).
 	Rank int
 	// Refits counts completed model rebuilds (successful fits swapped in
 	// after seeding; skipped drift-gated rebuilds do not count).
@@ -30,8 +30,9 @@ type ViewStats struct {
 
 // ViewDetector is the streaming detection contract an engine shard runs
 // against: the subspace method and its Section 7 variants — incremental
-// covariance tracking, multiscale wavelet analysis, multi-metric voting —
-// all present this surface, so a Monitor can mix backends freely.
+// covariance tracking, Frequent-Directions sketching, multi-metric
+// voting — and the forecast baselines all present this surface, so a
+// Monitor can mix backends freely.
 //
 // Implementations must be safe for one ProcessBatch caller at a time
 // (the engine guarantees this: queued batches run through the per-shard

@@ -16,16 +16,14 @@ import (
 	"netanomaly/internal/timeseries"
 	"netanomaly/internal/topology"
 	"netanomaly/internal/traffic"
-	"netanomaly/internal/wavelet"
 )
 
 // backendFixture carries everything the shared conformance battery
 // needs for one backend: a seeded detector, its seed history (for
 // re-Seed), the continuation stream, and where the injected spike must
 // surface. The spike is a 9e7-byte volume anomaly on one OD flow at
-// stream offset spikeBin; backends that localize in time report that
-// exact sequence number, the multiscale backend reports the start of
-// the anomalous region enclosing it.
+// stream offset spikeBin, which every backend must report at that
+// exact sequence number.
 type backendFixture struct {
 	name             string
 	det              core.ViewDetector
@@ -34,13 +32,13 @@ type backendFixture struct {
 }
 
 const (
-	confHistoryBins = 1024 // dyadic so the multiscale backend can seed
+	confHistoryBins = 1024
 	confStreamBins  = 128
 	confSpikeBin    = 60
 )
 
-// conformanceFixtures builds all nine backends over one synthetic
-// Abilene trace (shared OD matrix, shared routing): the five subspace
+// conformanceFixtures builds all eight backends over one synthetic
+// Abilene trace (shared OD matrix, shared routing): the four subspace
 // family members (including the Frequent-Directions sketch), the three
 // forecast baselines, and the hybrid triage→identification composition.
 func conformanceFixtures(t *testing.T, seed int64) []backendFixture {
@@ -81,10 +79,6 @@ func conformanceFixtures(t *testing.T, seed int64) []backendFixture {
 	if err != nil {
 		t.Fatal(err)
 	}
-	multiscale, err := wavelet.NewStreamDetector(history, wavelet.StreamConfig{Levels: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
 	multiflow, err := netmeas.NewMultiMetricDetector(stackedHistory, routing, netmeas.MultiMetricConfig{})
 	if err != nil {
 		t.Fatal(err)
@@ -97,7 +91,6 @@ func conformanceFixtures(t *testing.T, seed int64) []backendFixture {
 		{"subspace", subspace, history, stream, confSpikeBin, confSpikeBin},
 		{"incremental", incremental, history, stream, confSpikeBin, confSpikeBin},
 		{"sketch", sketch, history, stream, confSpikeBin, confSpikeBin},
-		{"multiscale", multiscale, history, stream, confSpikeBin - 3, confSpikeBin},
 		{"multiflow", multiflow, stackedHistory, stackedStream, confSpikeBin, confSpikeBin},
 	}
 	for _, kind := range []forecast.Kind{forecast.EWMA, forecast.HoltWinters, forecast.Fourier} {
@@ -317,10 +310,6 @@ func scenarioFixtures(t *testing.T, seed int64) ([]backendFixture, []traffic.Lab
 	if err != nil {
 		t.Fatal(err)
 	}
-	multiscale, err := wavelet.NewStreamDetector(history, wavelet.StreamConfig{Levels: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
 	multiflow, err := netmeas.NewMultiMetricDetector(stackedHistory, routing, netmeas.MultiMetricConfig{})
 	if err != nil {
 		t.Fatal(err)
@@ -333,7 +322,6 @@ func scenarioFixtures(t *testing.T, seed int64) ([]backendFixture, []traffic.Lab
 		{"subspace", subspace, history, stream, floodLo, floodHi},
 		{"incremental", incremental, history, stream, floodLo, floodHi},
 		{"sketch", sketch, history, stream, floodLo, floodHi},
-		{"multiscale", multiscale, history, stream, floodLo - 4, floodHi},
 		{"multiflow", multiflow, stackedHistory, stackedStream, floodLo, floodHi},
 	}
 	for _, kind := range []forecast.Kind{forecast.EWMA, forecast.HoltWinters, forecast.Fourier} {

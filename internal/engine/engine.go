@@ -4,7 +4,7 @@
 // anything with its own routing matrix and measurement stream) and fans
 // measurement batches across a worker pool. A shard holds any
 // core.ViewDetector — the windowed subspace method, the incremental
-// covariance-tracking variant, the multiscale wavelet detector, the
+// covariance-tracking variant, the Frequent-Directions sketch, the
 // multi-metric voter, the forecast baselines, or the hybrid — so
 // heterogeneous backends run side by side in one pool. Every backend is
 // non-blocking by contract: detection inside a shard runs against an

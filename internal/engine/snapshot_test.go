@@ -23,7 +23,7 @@ func halves(f backendFixture) (*mat.Dense, *mat.Dense) {
 }
 
 // TestSnapshotResumeConformance is the conformance battery's
-// checkpoint leg, run for all nine backends: processing half the
+// checkpoint leg, run for all eight backends: processing half the
 // stream, snapshotting, restoring into a freshly constructed detector
 // and processing the rest must be indistinguishable — alarms, Seq and
 // Stats — from the uninterrupted run. It also pins the canonical
@@ -110,7 +110,7 @@ func migrationIngest(t *testing.T, m *Monitor, view string, chunk *mat.Dense) []
 // checkpointed on one monitor and restored into an equivalently
 // configured view on another must continue the alarm stream
 // bin-for-bin — sequence offsets included — exactly as the monitor
-// that was never interrupted. Run for all nine backends, under -race
+// that was never interrupted. Run for all eight backends, under -race
 // in CI.
 func TestViewMigration(t *testing.T) {
 	const seed = 141
@@ -366,6 +366,27 @@ func TestRestoreViewRejections(t *testing.T) {
 		var out bytes.Buffer
 		if err := m.CheckpointView("v", &out); err != nil {
 			t.Fatalf("view unusable after rejected restore: %v", err)
+		}
+	})
+	t.Run("retired multiscale kind", func(t *testing.T) {
+		// Rewrite the nested detector envelope's kind byte to the
+		// reserved multiscale value: an old checkpoint of the retired
+		// backend is well-formed, just not this view's state.
+		old := bytes.Clone(ckpt.Bytes())
+		inner := 4 + bytes.Index(old[4:], []byte("NAMS"))
+		if inner < 4 {
+			t.Fatal("view envelope nests no detector envelope")
+		}
+		old[inner+5] = core.SnapKindMultiscale
+		det, err := core.NewOnlineDetector(history6, mat.Identity(6), core.OnlineConfig{Window: 64})
+		if err != nil {
+			t.Fatal(err)
+		}
+		m := mkMonitor(det)
+		defer m.Close()
+		err = m.RestoreView("v", bytes.NewReader(old))
+		if !errors.Is(err, core.ErrSnapshotMismatch) || errors.Is(err, core.ErrSnapshotFormat) {
+			t.Fatalf("multiscale envelope restored into subspace view: %v", err)
 		}
 	})
 }

@@ -1,6 +1,6 @@
 package eval
 
-// The nine-backend × attack-scenario detection scorecard. Where
+// The eight-backend × attack-scenario detection scorecard. Where
 // streaming.go scores one backend on one labeled stream, the scorecard
 // runs the full backend family over every scenario in the attack
 // library under identical seeds, producing the per-(backend, scenario)
@@ -21,14 +21,13 @@ import (
 	"netanomaly/internal/netmeas"
 	"netanomaly/internal/topology"
 	"netanomaly/internal/traffic"
-	"netanomaly/internal/wavelet"
 )
 
 // ScorecardBackends is the full detector family the scorecard runs, in
-// table order: the five subspace-family members, the three forecast
+// table order: the four subspace-family members, the three forecast
 // baselines, and the hybrid composition.
 var ScorecardBackends = []string{
-	"subspace", "incremental", "sketch", "multiscale", "multiflow",
+	"subspace", "incremental", "sketch", "multiflow",
 	"ewma", "holtwinters", "fourier", "hybrid",
 }
 
@@ -38,8 +37,7 @@ type ScorecardConfig struct {
 	// Seed drives the traffic generator, metric synthesis and every
 	// scenario; the whole scorecard is deterministic in it.
 	Seed int64
-	// HistoryBins seed each detector's model (default 1024 — dyadic, so
-	// the multiscale backend can seed).
+	// HistoryBins seed each detector's model (default 1024).
 	HistoryBins int
 	// StreamBins follow the history and carry the scenarios
 	// (default 256; at least traffic.MinScenarioStreamBins).
@@ -112,7 +110,7 @@ func (s *Scorecard) Cell(backend, scenario string) *ScorecardCell {
 // library. Per scenario: one synthetic trace is generated, the
 // scenario composed onto its stream tail, link loads and the stacked
 // multi-metric series derived (scan-shaped flow-count injections
-// applied to the latter), and nine freshly seeded detectors replay the
+// applied to the latter), and eight freshly seeded detectors replay the
 // identical stream through EvaluateStreamingFlows against the
 // scenario's ground truth. Automatic refits are disabled so the table
 // is deterministic in cfg.Seed.
@@ -236,8 +234,6 @@ func newScorecardDetector(backend string, history, stackedHistory, routing *mat.
 		return core.NewIncrementalDetector(history, routing, core.IncrementalConfig{})
 	case "sketch":
 		return core.NewSketchDetector(history, routing, core.SketchConfig{})
-	case "multiscale":
-		return wavelet.NewStreamDetector(history, wavelet.StreamConfig{Levels: 2, Window: window})
 	case "multiflow":
 		return netmeas.NewMultiMetricDetector(stackedHistory, routing, netmeas.MultiMetricConfig{
 			Online: core.OnlineConfig{Window: window},

@@ -8,8 +8,8 @@ import (
 	"netanomaly/internal/topology"
 )
 
-// scorecardTestConfig keeps the matrix cheap: a dyadic 256-bin history
-// (the multiscale backend needs one) and the minimum scenario stream.
+// scorecardTestConfig keeps the matrix cheap: a 256-bin history and the
+// minimum scenario stream.
 func scorecardTestConfig() ScorecardConfig {
 	return ScorecardConfig{Seed: 3, HistoryBins: 256, StreamBins: 128, BatchSize: 32}
 }
@@ -20,8 +20,8 @@ func TestRunScorecardShapeAndDeterminism(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(card.Backends) != 9 {
-		t.Fatalf("scorecard has %d backends, want 9", len(card.Backends))
+	if len(card.Backends) != 8 {
+		t.Fatalf("scorecard has %d backends, want 8", len(card.Backends))
 	}
 	if len(card.Scenarios) < 5 {
 		t.Fatalf("scorecard has %d scenarios, want >= 5", len(card.Scenarios))

@@ -27,7 +27,7 @@ type StreamResult struct {
 	// Identified of IdentTrials detected labeled bins carried the true
 	// OD flow. IdentTrials counts the detected labeled bins whose truth
 	// names a flow AND whose alarm attributed one: a region alarm
-	// (alarm Flow == -1, the multiscale and forecast backends) counts
+	// (alarm Flow == -1, the forecast backends) counts
 	// as a detection but not an identification trial, so both stay zero
 	// when the truth carries no flows or the backend never attributes.
 	Identified, IdentTrials int
@@ -153,7 +153,7 @@ type LabeledBin = traffic.LabeledBin
 // backend's two claims separate: Detected/TrueAnomalies scores its
 // triage stage's misses, Identified/IdentTrials the identification
 // accuracy on the bins that escalated. Backends that never attribute
-// flows (forecast, multiscale) score 0/n identified on flow-labeled
+// flows (the forecast kinds) score 0/n identified on flow-labeled
 // truths.
 func EvaluateStreamingFlows(det core.ViewDetector, stream *mat.Dense, batchSize int, truth []LabeledBin) (StreamResult, error) {
 	r, _, err := EvaluateStreamingAlarms(det, stream, batchSize, truth)

@@ -3,6 +3,8 @@ package topology
 import (
 	"fmt"
 	"math/rand"
+	"strconv"
+	"strings"
 )
 
 // Abilene returns the 11-PoP Internet2 backbone of the paper's Figure 2(a).
@@ -85,15 +87,12 @@ func SprintEurope() *Topology {
 // Synthetic returns a random connected topology with n PoPs named p0..p(n-1).
 // It first builds a random spanning tree (guaranteeing connectivity), then
 // adds extra duplex edges until reaching the requested duplex edge count.
-// Generation is deterministic in seed. It panics if edges < n-1 or exceeds
-// the complete-graph bound.
+// Generation is deterministic in seed. It panics if n is outside
+// [2, 65536], or edges is below n-1 or above the complete-graph bound;
+// Parse reports the same conditions as errors.
 func Synthetic(n, edges int, seed int64) *Topology {
-	if n < 2 {
-		panic("topology: Synthetic needs n >= 2")
-	}
-	maxEdges := n * (n - 1) / 2
-	if edges < n-1 || edges > maxEdges {
-		panic(fmt.Sprintf("topology: Synthetic edge count %d out of [%d,%d]", edges, n-1, maxEdges))
+	if err := checkSynthetic(n, edges); err != nil {
+		panic("topology: Synthetic " + err.Error())
 	}
 	rng := rand.New(rand.NewSource(seed))
 	b := NewBuilder(fmt.Sprintf("synthetic-%d-%d", n, edges))
@@ -130,4 +129,74 @@ func Synthetic(n, edges int, seed int64) *Topology {
 		panic(fmt.Sprintf("topology: Synthetic build failed: %v", err))
 	}
 	return t
+}
+
+// checkSynthetic reports whether Synthetic can build n PoPs joined by
+// edges duplex edges: a spanning tree needs n-1 of them, and a simple
+// graph holds at most n(n-1)/2. The PoP bound keeps that product from
+// overflowing; a network anywhere near it is far too big to route.
+func checkSynthetic(n, edges int) error {
+	const maxPoPs = 1 << 16
+	if n < 2 || n > maxPoPs {
+		return fmt.Errorf("PoP count %d out of [2,%d]", n, maxPoPs)
+	}
+	maxEdges := n * (n - 1) / 2
+	if edges < n-1 || edges > maxEdges {
+		return fmt.Errorf("edge count %d out of [%d,%d] for %d PoPs", edges, n-1, maxEdges, n)
+	}
+	return nil
+}
+
+// Parse resolves a command-line topology spec: "abilene", "sprint", or
+// "synthetic:<pops>:<edges>:<seed>". Malformed numbers, trailing junk
+// and sizes Synthetic cannot build are errors, never panics.
+func Parse(spec string) (*Topology, error) {
+	return parse(spec, nil)
+}
+
+// ParseSeeded is Parse for tools that take the generator seed from a
+// flag of their own: the synthetic spelling drops the seed field
+// ("synthetic:<pops>:<edges>") and seed is used instead.
+func ParseSeeded(spec string, seed int64) (*Topology, error) {
+	return parse(spec, &seed)
+}
+
+func parse(spec string, seed *int64) (*Topology, error) {
+	switch spec {
+	case "abilene":
+		return Abilene(), nil
+	case "sprint":
+		return SprintEurope(), nil
+	}
+	form, want := "synthetic:<pops>:<edges>:<seed>", 3
+	if seed != nil {
+		form, want = "synthetic:<pops>:<edges>", 2
+	}
+	rest, ok := strings.CutPrefix(spec, "synthetic:")
+	if !ok {
+		return nil, fmt.Errorf("unknown topology %q: want abilene, sprint, or %s", spec, form)
+	}
+	fields := strings.Split(rest, ":")
+	if len(fields) != want {
+		return nil, fmt.Errorf("topology %q: want %s", spec, form)
+	}
+	pops, err := strconv.Atoi(fields[0])
+	if err != nil {
+		return nil, fmt.Errorf("topology %q: pops: %w", spec, err)
+	}
+	edges, err := strconv.Atoi(fields[1])
+	if err != nil {
+		return nil, fmt.Errorf("topology %q: edges: %w", spec, err)
+	}
+	if seed == nil {
+		s, err := strconv.ParseInt(fields[2], 10, 64)
+		if err != nil {
+			return nil, fmt.Errorf("topology %q: seed: %w", spec, err)
+		}
+		seed = &s
+	}
+	if err := checkSynthetic(pops, edges); err != nil {
+		return nil, fmt.Errorf("topology %q: %w", spec, err)
+	}
+	return Synthetic(pops, edges, *seed), nil
 }

@@ -360,6 +360,62 @@ func TestSyntheticPanicsOnBadArgs(t *testing.T) {
 	}
 }
 
+func TestParse(t *testing.T) {
+	cases := []struct {
+		spec      string
+		seed      int64 // ParseSeeded's seed; 0 exercises Parse
+		wantLinks int   // 0 means an error is expected
+	}{
+		{"abilene", 0, 41},
+		{"sprint", 0, 49},
+		{"synthetic:24:48:7", 0, 120},
+		{"synthetic:2:1:-3", 0, 4},
+		{"synthetic:24:48", 7, 120},
+		{"abilene", 7, 41},
+		{"synthetic:0:0:1", 0, 0},         // too few PoPs
+		{"synthetic:5:2:1", 0, 0},         // fewer edges than a spanning tree
+		{"synthetic:5:11:1", 0, 0},        // more than the complete graph
+		{"synthetic:70000:69999:1", 0, 0}, // past the PoP bound
+		{"synthetic:24:48:7junk", 0, 0},
+		{"synthetic:24x:48:7", 0, 0},
+		{"synthetic:24:48:7:1", 0, 0},
+		{"synthetic:24:48", 0, 0},   // Parse wants the seed field
+		{"synthetic:24:48:7", 7, 0}, // ParseSeeded does not
+		{"synthetic:", 0, 0},
+		{"Abilene", 0, 0},
+		{"", 0, 0},
+	}
+	for _, tc := range cases {
+		var topo *Topology
+		var err error
+		if tc.seed == 0 {
+			topo, err = Parse(tc.spec)
+		} else {
+			topo, err = ParseSeeded(tc.spec, tc.seed)
+		}
+		switch {
+		case tc.wantLinks == 0 && err == nil:
+			t.Errorf("%q (seed %d): accepted, want an error", tc.spec, tc.seed)
+		case tc.wantLinks != 0 && err != nil:
+			t.Errorf("%q (seed %d): %v", tc.spec, tc.seed, err)
+		case tc.wantLinks != 0 && topo.NumLinks() != tc.wantLinks:
+			t.Errorf("%q (seed %d): %d links, want %d", tc.spec, tc.seed, topo.NumLinks(), tc.wantLinks)
+		}
+	}
+	// The seed field and ParseSeeded's seed build the same network.
+	a, err := Parse("synthetic:10:15:7")
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, err := ParseSeeded("synthetic:10:15", 7)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !mat.EqualApprox(a.RoutingMatrix(), b.RoutingMatrix(), 0) {
+		t.Fatal("synthetic:10:15:7 and ParseSeeded(synthetic:10:15, 7) differ")
+	}
+}
+
 func TestIntraLinksComeFirst(t *testing.T) {
 	topo := Abilene()
 	links := topo.Links()

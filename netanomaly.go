@@ -14,7 +14,6 @@ import (
 	"netanomaly/internal/netmeas"
 	"netanomaly/internal/topology"
 	"netanomaly/internal/traffic"
-	"netanomaly/internal/wavelet"
 )
 
 // Topology is a PoP-level network with routing. Build one with
@@ -293,10 +292,6 @@ const (
 	// snapshots, refits solve only the m x m eigenproblem, and the
 	// drift gate skips rebuilds when the subspace has not moved.
 	DetectorIncremental DetectorKind = "incremental"
-	// DetectorMultiscale applies one subspace model per wavelet scale
-	// (Section 7.3), catching sustained anomalies single-bin detectors
-	// miss; alarms report time regions without flow identification.
-	DetectorMultiscale DetectorKind = "multiscale"
 	// DetectorMultiFlow fans one subspace model per traffic metric
 	// (bytes / flow counts / packet size, Section 7.2) over shared
 	// routing and votes, catching scans that move flow counts without
@@ -341,7 +336,6 @@ type viewConfig struct {
 	kind       DetectorKind
 	lambda     float64
 	driftTol   float64
-	levels     int
 	quorum     int
 	metrics    []string
 	alpha      float64
@@ -363,10 +357,9 @@ func WithDetector(kind DetectorKind) ViewOption {
 }
 
 // WithDetectorKind selects the backend kind by its string name
-// ("subspace", "incremental", "multiscale", "multiflow", "ewma",
-// "holtwinters", "fourier", "hybrid", "sketch") — a convenience for callers
-// plumbing the kind from flags or config files; unknown names fail in
-// AddView.
+// ("subspace", "incremental", "multiflow", "ewma", "holtwinters",
+// "fourier", "hybrid", "sketch") — a convenience for callers plumbing
+// the kind from flags or config files; unknown names fail in AddView.
 func WithDetectorKind(kind string) ViewOption {
 	return WithDetector(DetectorKind(kind))
 }
@@ -465,12 +458,6 @@ func WithDriftTolerance(tol float64) ViewOption {
 	return func(vc *viewConfig) { vc.driftTol = tol }
 }
 
-// WithLevels sets the multiscale backend's wavelet depth (default 3:
-// 2-, 4- and 8-bin features).
-func WithLevels(levels int) ViewOption {
-	return func(vc *viewConfig) { vc.levels = levels }
-}
-
 // WithQuorum sets how many metrics must flag a bin before the
 // multi-flow backend alarms (default 1: any metric).
 func WithQuorum(q int) ViewOption {
@@ -486,14 +473,14 @@ func WithMetrics(names ...string) ViewOption {
 // AddView registers a detector shard on the monitor for a topology's
 // measurement stream, with the backend selected by options. history
 // seeds the model: bins x links for the subspace, incremental, sketch,
-// multiscale, forecast (ewma / holtwinters / fourier) and hybrid
-// kinds, bins x (metrics x links) column-stacked for multiflow. The
-// monitor's Window, RefitEvery and Options configure every kind
-// uniformly (the forecast kinds take their thresholds from
-// WithThresholdK rather than Options.Confidence). See docs/BACKENDS.md
-// for the backend selection guide.
+// forecast (ewma / holtwinters / fourier) and hybrid kinds, bins x
+// (metrics x links) column-stacked for multiflow. The monitor's
+// Window, RefitEvery and Options configure every kind uniformly (the
+// forecast kinds take their thresholds from WithThresholdK rather than
+// Options.Confidence). See docs/BACKENDS.md for the backend selection
+// guide.
 func AddView(m *Monitor, name string, history *Matrix, topo *Topology, opts ...ViewOption) error {
-	vc := viewConfig{kind: DetectorSubspace, lambda: 1, levels: 3, quorum: 1}
+	vc := viewConfig{kind: DetectorSubspace, lambda: 1, quorum: 1}
 	for _, o := range opts {
 		o(&vc)
 	}
@@ -540,13 +527,6 @@ func newViewDetector(vc *viewConfig, history *Matrix, topo *Topology, cfg Monito
 			RefitEvery: cfg.RefitEvery,
 			DriftTol:   vc.driftTol,
 			Options:    cfg.Options,
-		})
-	case DetectorMultiscale:
-		return wavelet.NewStreamDetector(history, wavelet.StreamConfig{
-			Levels:     vc.levels,
-			Confidence: cfg.Options.Confidence,
-			Window:     window,
-			RefitEvery: cfg.RefitEvery,
 		})
 	case DetectorMultiFlow:
 		return netmeas.NewMultiMetricDetector(history, routing, netmeas.MultiMetricConfig{
@@ -775,7 +755,7 @@ func Restore(cfg MonitorConfig, r io.Reader, views []ViewSpec, opts ...MonitorOp
 		if !ok {
 			return nil, fmt.Errorf("netanomaly: checkpoint holds view %q but no ViewSpec describes it", name)
 		}
-		vc := viewConfig{kind: DetectorSubspace, lambda: 1, levels: 3, quorum: 1}
+		vc := viewConfig{kind: DetectorSubspace, lambda: 1, quorum: 1}
 		for _, o := range spec.Options {
 			o(&vc)
 		}

@@ -7,6 +7,7 @@ import (
 	"io"
 	"math"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -231,6 +232,32 @@ func TestCSVFileRoundTrip(t *testing.T) {
 	}
 }
 
+// TestLoadMatrixSniffsEncoding loads one matrix saved as CSV and in the
+// binary wire format and requires both to come back bit-exact.
+func TestLoadMatrixSniffsEncoding(t *testing.T) {
+	dir := t.TempDir()
+	m := netanomaly.NewMatrix(2, 3, []float64{1, 2.5, 3e9, 4, 5e-300, 6})
+	csvPath, binPath := filepath.Join(dir, "m.csv"), filepath.Join(dir, "m.bin")
+	if err := netanomaly.SaveMatrixCSV(csvPath, m, []string{"a", "b", "c"}); err != nil {
+		t.Fatal(err)
+	}
+	if err := netanomaly.SaveMatrixBinary(binPath, m); err != nil {
+		t.Fatal(err)
+	}
+	for _, path := range []string{csvPath, binPath} {
+		got, err := netanomaly.LoadMatrix(path)
+		if err != nil {
+			t.Fatalf("%s: %v", path, err)
+		}
+		if !reflect.DeepEqual(got.RawData(), m.RawData()) {
+			t.Fatalf("%s: got %v, want %v", path, got.RawData(), m.RawData())
+		}
+	}
+	if _, err := netanomaly.LoadMatrix(filepath.Join(dir, "missing")); err == nil {
+		t.Fatal("missing file must error")
+	}
+}
+
 // TestBinaryPublicAPI exercises the binary wire format through the
 // public surface: bit-exact round trips in memory and on disk, the
 // corrupt-versus-truncated error split, and the two streaming
@@ -344,13 +371,13 @@ func TestBinaryPublicAPI(t *testing.T) {
 
 // TestAddViewBackendsViaPublicAPI exercises the backend-selecting
 // AddView options and channel-driven ingestion end to end through the
-// public surface: one monitor, eight shards (one per detector kind
+// public surface: one monitor, seven shards (one per detector kind
 // except hybrid, which has its own end-to-end test), one of them fed
 // from a StreamMatrix channel.
 func TestAddViewBackendsViaPublicAPI(t *testing.T) {
 	topo := netanomaly.Abilene()
 	cfg := netanomaly.DefaultTrafficConfig(11)
-	cfg.Bins = 1024 + 128 // dyadic seed so the multiscale backend fits
+	cfg.Bins = 1024 + 128
 	od, err := netanomaly.GenerateTraffic(topo, cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -378,7 +405,6 @@ func TestAddViewBackendsViaPublicAPI(t *testing.T) {
 	for name, opts := range map[string][]netanomaly.ViewOption{
 		"subspace":    nil,
 		"incremental": {netanomaly.WithDetector(netanomaly.DetectorIncremental), netanomaly.WithLambda(0.999)},
-		"multiscale":  {netanomaly.WithDetector(netanomaly.DetectorMultiscale), netanomaly.WithLevels(2)},
 		"ewma":        {netanomaly.WithDetectorKind("ewma"), netanomaly.WithThresholdK(6)},
 		"holtwinters": {netanomaly.WithDetector(netanomaly.DetectorHoltWinters), netanomaly.WithAlpha(0.3), netanomaly.WithBeta(0.1)},
 		"fourier":     {netanomaly.WithDetector(netanomaly.DetectorFourier)},
@@ -400,7 +426,7 @@ func TestAddViewBackendsViaPublicAPI(t *testing.T) {
 	if err := mon.IngestStream("subspace", netanomaly.StreamMatrix(context.Background(), stream, 0)); err != nil {
 		t.Fatal(err)
 	}
-	for _, v := range []string{"incremental", "multiscale", "ewma", "holtwinters", "fourier", "sketch"} {
+	for _, v := range []string{"incremental", "ewma", "holtwinters", "fourier", "sketch"} {
 		if err := mon.Ingest(v, stream); err != nil {
 			t.Fatal(err)
 		}
@@ -414,11 +440,11 @@ func TestAddViewBackendsViaPublicAPI(t *testing.T) {
 	}
 	hits := make(map[string]bool)
 	for _, a := range mon.TakeAlarms() {
-		if a.Seq >= 56 && a.Seq <= 60 { // multiscale reports the region start
+		if a.Seq == 60 {
 			hits[a.View] = true
 		}
 	}
-	for _, v := range []string{"subspace", "incremental", "multiscale", "multiflow", "ewma", "holtwinters", "fourier", "sketch"} {
+	for _, v := range []string{"subspace", "incremental", "multiflow", "ewma", "holtwinters", "fourier", "sketch"} {
 		if !hits[v] {
 			t.Fatalf("view %q missed the injected spike", v)
 		}
@@ -460,6 +486,46 @@ func TestOnlineDetectorViaPublicAPI(t *testing.T) {
 	}
 	if al.Flow != topo.FlowID(0, 5) {
 		t.Fatalf("online alarm flow %d", al.Flow)
+	}
+}
+
+// TestRestoreRefusesRetiredMultiscaleKind hands Restore a checkpoint
+// whose detector envelope carries the retired multiscale kind byte: it
+// must be refused as a mismatch, not read as corruption.
+func TestRestoreRefusesRetiredMultiscaleKind(t *testing.T) {
+	topo := netanomaly.Abilene()
+	cfg := netanomaly.DefaultTrafficConfig(17)
+	cfg.Bins = 200
+	od, err := netanomaly.GenerateTraffic(topo, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	history := netanomaly.LinkLoads(topo, od)
+	mon := netanomaly.NewMonitor(netanomaly.MonitorConfig{})
+	if err := netanomaly.AddView(mon, "net", history, topo); err != nil {
+		t.Fatal(err)
+	}
+	mon.Close()
+	var ckpt bytes.Buffer
+	if err := mon.Checkpoint(&ckpt); err != nil {
+		t.Fatal(err)
+	}
+	// Monitor, view and detector envelopes nest in that order; the
+	// third "NAMS" magic opens the detector's.
+	data := ckpt.Bytes()
+	at := 0
+	for range 2 {
+		next := bytes.Index(data[at+1:], []byte("NAMS"))
+		if next < 0 {
+			t.Fatal("checkpoint nests fewer than three envelopes")
+		}
+		at += 1 + next
+	}
+	data[at+5] = 3 // the reserved multiscale kind
+	spec := netanomaly.ViewSpec{History: history, Topo: topo}
+	_, err = netanomaly.Restore(netanomaly.MonitorConfig{}, bytes.NewReader(data), []netanomaly.ViewSpec{spec})
+	if !errors.Is(err, netanomaly.ErrSnapshotMismatch) || errors.Is(err, netanomaly.ErrSnapshotFormat) {
+		t.Fatalf("multiscale checkpoint restored as subspace: %v", err)
 	}
 }
 
