@@ -591,12 +591,11 @@ func trafficgenWireBytesPerBin(b *testing.B, batchBins int) (xor, raw float64) {
 }
 
 // BenchmarkSketchRefit prices a streaming shard's model rebuild at
-// m = 120 across the three covariance strategies: the full-SVD window
-// fit, the incremental backend's m x m tracked-covariance eigensolve,
-// and the sketch backend's l x l Frequent-Directions eigenproblem
-// (l = 4x rank). Every sub-benchmark produces a ready subspace model
-// of the same rank, so ns/op are directly comparable; the committed
-// BENCH_sketch.json trajectory records the ratios per PR.
+// m = 120 across the two covariance strategies: the subspace backend's
+// full-SVD window fit and the sketch backend's l x l Frequent-Directions
+// eigenproblem (l = 4x rank). Both produce a ready subspace model of the
+// same rank, so ns/op are directly comparable; the committed
+// BENCH_sketch.json trajectory records the ratio per PR.
 func BenchmarkSketchRefit(b *testing.B) {
 	const links, rank = 120, 5
 	y := largeLinkTrace(links)
@@ -608,20 +607,6 @@ func BenchmarkSketchRefit(b *testing.B) {
 				b.Fatal(err)
 			}
 			if _, err := core.Build(p, rank); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-
-	b.Run("covtracker-eig", func(b *testing.B) {
-		tr, err := core.NewCovTracker(links, 1)
-		if err != nil {
-			b.Fatal(err)
-		}
-		tr.UpdateAll(y)
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			if _, err := tr.Model(rank); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -652,8 +637,7 @@ func BenchmarkSketchRefit(b *testing.B) {
 
 	b.Run("sketch-update-batch", func(b *testing.B) {
 		// The amortized per-batch price the sketch pays to keep its
-		// cheap refit available — the counterpart of the incremental
-		// backend's covtracker-update-batch row.
+		// cheap refit available.
 		sk, err := core.NewFDSketch(links, 4*rank)
 		if err != nil {
 			b.Fatal(err)
@@ -670,96 +654,6 @@ func BenchmarkSketchRefit(b *testing.B) {
 			}
 		}
 	})
-}
-
-// BenchmarkIncrementalRefit compares the two ways a streaming shard can
-// rebuild its model on an m >= 100 link trace: the subspace backend's
-// full-SVD fit over the 1008-bin window (O(t·m^2) bidiagonalization)
-// versus the incremental backend's eigensolve on the tracked m x m
-// covariance (no window snapshot, no SVD). Both sub-benchmarks produce
-// a ready subspace model of the same rank, so ns/op are directly
-// comparable; the acceptance bar is the covtracker path winning at this
-// scale. The update-batch sub-benchmark prices the amortized cost the
-// tracker pays per 64-bin batch to keep that cheap refit available
-// (report: 0 allocs — all scratch is preallocated).
-func BenchmarkIncrementalRefit(b *testing.B) {
-	const links, rank = 120, 5
-	y := largeLinkTrace(links)
-
-	b.Run("full-svd-window", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			p, err := core.Fit(y)
-			if err != nil {
-				b.Fatal(err)
-			}
-			if _, err := core.Build(p, rank); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-
-	b.Run("covtracker-eig", func(b *testing.B) {
-		tr, err := core.NewCovTracker(links, 1)
-		if err != nil {
-			b.Fatal(err)
-		}
-		tr.UpdateAll(y)
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			if _, err := tr.Model(rank); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-
-	b.Run("covtracker-update-batch", func(b *testing.B) {
-		tr, err := core.NewCovTracker(links, 0.999)
-		if err != nil {
-			b.Fatal(err)
-		}
-		tr.UpdateAll(y)
-		chunk := mat.NewDense(64, links, y.RawData()[:64*links])
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			tr.UpdateAll(chunk)
-		}
-	})
-}
-
-// BenchmarkCovTrackerUpdate times the per-bin cost of the incremental
-// model maintenance of Section 7.1 (rank-1 covariance update).
-func BenchmarkCovTrackerUpdate(b *testing.B) {
-	d := experiments.SprintSim1()
-	_, dim := d.Links.Dims()
-	tr, err := core.NewCovTracker(dim, 0.999)
-	if err != nil {
-		b.Fatal(err)
-	}
-	row := d.Links.Row(0)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		tr.Update(row)
-	}
-}
-
-// BenchmarkCovTrackerRefresh times the on-demand model rebuild from
-// tracked state (the m x m eigenproblem), the cheap alternative to a
-// full-window SVD refit.
-func BenchmarkCovTrackerRefresh(b *testing.B) {
-	d := experiments.SprintSim1()
-	_, dim := d.Links.Dims()
-	tr, err := core.NewCovTracker(dim, 1)
-	if err != nil {
-		b.Fatal(err)
-	}
-	tr.UpdateAll(d.Links)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := tr.Model(5); err != nil {
-			b.Fatal(err)
-		}
-	}
 }
 
 // BenchmarkTomogravityEstimate times one per-bin traffic matrix estimate
@@ -840,15 +734,15 @@ func BenchmarkMonitorThroughput(b *testing.B) {
 // hot path — per-link prediction, residual scoring against adaptive
 // thresholds, and state update — in 64-bin batches over the Abilene
 // trace, reporting bins/sec per kind. The forecast model is the
-// cheapest in the backend family (no matrix pass at all for the
-// smoothing kinds), which is what makes per-bin refit experiments
-// affordable; a regression here erases that advantage.
+// cheapest in the backend family (no matrix pass at all for EWMA),
+// which is what makes per-bin refit experiments affordable; a
+// regression here erases that advantage.
 func BenchmarkForecastProcessBatch(b *testing.B) {
 	d := experiments.AbileneSim()
 	links := d.Links
 	bins, m := links.Dims()
 	const batch = 64
-	for _, kind := range []forecast.Kind{forecast.EWMA, forecast.HoltWinters, forecast.Fourier} {
+	for _, kind := range []forecast.Kind{forecast.EWMA, forecast.Fourier} {
 		b.Run(string(kind), func(b *testing.B) {
 			det, err := forecast.NewDetector(links, forecast.Config{Kind: kind})
 			if err != nil {
@@ -1168,9 +1062,6 @@ func BenchmarkSnapshotRestore(b *testing.B) {
 	}{
 		{"subspace", func() (core.ViewDetector, error) {
 			return core.NewOnlineDetector(links, routing, core.OnlineConfig{Window: bins})
-		}},
-		{"incremental", func() (core.ViewDetector, error) {
-			return core.NewIncrementalDetector(links, routing, core.IncrementalConfig{})
 		}},
 		{"sketch", func() (core.ViewDetector, error) {
 			return core.NewSketchDetector(links, routing, core.SketchConfig{})

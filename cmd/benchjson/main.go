@@ -3,24 +3,24 @@
 // stable JSON: BENCH_ingest.json (CSV path versus v1 per-bin binary
 // versus v2 batch-framed binary under both codecs at m = 120 —
 // ns/bin, read calls per bin, wire bytes/bin on the trafficgen Abilene
-// scenario, allocations per bin) and BENCH_sketch.json (sketch versus
-// incremental versus full-SVD refit cost, plus detection agreement
-// between the sketch and incremental backends on the spike scenario)
-// and BENCH_snapshot.json (per-backend checkpoint envelope size plus
-// snapshot/restore/re-seed cost at m = 120, the currency of the
-// ingestd -checkpoint path). The files are committed per PR so the
-// trajectory is visible in review; CI reruns the tool and enforces the
-// same hard gates the benchmarks carry (binary >= 5x CSV with
-// < 1 alloc/bin; v2 raw >= 1.5x v1 with >= 10x fewer reads and
-// <= 0.05 allocs/bin; xor >= 2x compression within 1.3x the v1 decode
-// baseline; sketch and incremental flag the identical bin set; every
-// restored snapshot re-encodes byte-for-byte, a subspace restore beats
-// re-seeding >= 2x, and the sketch envelope stays <= 0.10x the
+// scenario, allocations per bin), BENCH_sketch.json (sketch versus
+// full-SVD refit cost, plus detection agreement between the sketch and
+// subspace backends on the spike scenario) and BENCH_snapshot.json
+// (per-backend checkpoint envelope size plus snapshot/restore/re-seed
+// cost at m = 120, the currency of the ingestd -checkpoint path). The
+// files are committed per PR so the trajectory is visible in review; CI
+// reruns the tool and enforces the same hard gates the benchmarks
+// carry (binary >= 5x CSV with < 1 alloc/bin; v2 raw >= 1.5x v1 with
+// >= 10x fewer reads and <= 0.05 allocs/bin; xor >= 2x compression
+// within 1.3x the v1 decode baseline; a sketch refit >= 10x cheaper
+// than the full SVD; sketch and subspace flag the identical bin set;
+// every restored snapshot re-encodes byte-for-byte, a subspace restore
+// beats re-seeding >= 2x, and the sketch envelope stays <= 0.10x the
 // subspace one), so a regression fails the build even though absolute
 // numbers move with the hardware.
 //
 // With -scorecard the tool instead regenerates SCORECARD.json — the
-// eight-backend × attack-scenario detection/false-alarm/identification
+// six-backend × attack-scenario detection/false-alarm/identification
 // matrix over the scenario library (deterministic in its seed, so the
 // file is identical on every machine), each cell also recording how
 // many incidents the correlation layer condenses its alarms into — and,
@@ -42,7 +42,6 @@ import (
 	"math/rand"
 	"os"
 	"path/filepath"
-	"runtime"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -95,16 +94,14 @@ type ingestReport struct {
 }
 
 type sketchReport struct {
-	Benchmark           string          `json:"benchmark"`
-	Links               int             `json:"links"`
-	Rank                int             `json:"rank"`
-	SketchSize          int             `json:"sketch_size"`
-	FullSVDRefitNs      float64         `json:"full_svd_refit_ns"`
-	CovTrackerRefitNs   float64         `json:"covtracker_refit_ns"`
-	SketchRefitNs       float64         `json:"sketch_refit_ns"`
-	SpeedupVsCovTracker float64         `json:"sketch_speedup_vs_covtracker_x"`
-	SpeedupVsFullSVD    float64         `json:"sketch_speedup_vs_full_svd_x"`
-	Agreement           agreementReport `json:"agreement"`
+	Benchmark        string          `json:"benchmark"`
+	Links            int             `json:"links"`
+	Rank             int             `json:"rank"`
+	SketchSize       int             `json:"sketch_size"`
+	FullSVDRefitNs   float64         `json:"full_svd_refit_ns"`
+	SketchRefitNs    float64         `json:"sketch_refit_ns"`
+	SpeedupVsFullSVD float64         `json:"sketch_speedup_vs_full_svd_x"`
+	Agreement        agreementReport `json:"agreement"`
 }
 
 type snapshotReport struct {
@@ -132,14 +129,14 @@ type backendSnapReport struct {
 }
 
 type agreementReport struct {
-	HistoryBins            int `json:"history_bins"`
-	StreamBins             int `json:"stream_bins"`
-	SpikesInjected         int `json:"spikes_injected"`
-	SketchSize             int `json:"sketch_size"`
-	IncrementalFlaggedBins int `json:"incremental_flagged_bins"`
-	SketchFlaggedBins      int `json:"sketch_flagged_bins"`
-	CommonFlaggedBins      int `json:"common_flagged_bins"`
-	SpikesCaughtByBoth     int `json:"spikes_caught_by_both"`
+	HistoryBins         int `json:"history_bins"`
+	StreamBins          int `json:"stream_bins"`
+	SpikesInjected      int `json:"spikes_injected"`
+	SketchSize          int `json:"sketch_size"`
+	SubspaceFlaggedBins int `json:"subspace_flagged_bins"`
+	SketchFlaggedBins   int `json:"sketch_flagged_bins"`
+	CommonFlaggedBins   int `json:"common_flagged_bins"`
+	SpikesCaughtByBoth  int `json:"spikes_caught_by_both"`
 }
 
 func main() {
@@ -213,14 +210,14 @@ func main() {
 		fmt.Fprintf(os.Stderr, "benchjson: GATE FAILED: xor decode costs %.2fx the v2 zero-copy raw path, want <= 2.2x\n", ing.XORVsRawRatio)
 		failed = true
 	}
-	if sk.SpeedupVsCovTracker < 2 {
-		fmt.Fprintf(os.Stderr, "benchjson: GATE FAILED: sketch refit is %.1fx the covtracker refit, want >= 2x\n", sk.SpeedupVsCovTracker)
+	if sk.SpeedupVsFullSVD < 10 {
+		fmt.Fprintf(os.Stderr, "benchjson: GATE FAILED: sketch refit is %.1fx the full-SVD refit, want >= 10x\n", sk.SpeedupVsFullSVD)
 		failed = true
 	}
 	a := sk.Agreement
-	if a.SpikesCaughtByBoth != a.SpikesInjected || a.CommonFlaggedBins != a.IncrementalFlaggedBins || a.SketchFlaggedBins != a.IncrementalFlaggedBins {
-		fmt.Fprintf(os.Stderr, "benchjson: GATE FAILED: sketch/incremental disagree (%d vs %d flagged, %d common, %d/%d spikes)\n",
-			a.SketchFlaggedBins, a.IncrementalFlaggedBins, a.CommonFlaggedBins, a.SpikesCaughtByBoth, a.SpikesInjected)
+	if a.SpikesCaughtByBoth != a.SpikesInjected || a.CommonFlaggedBins != a.SubspaceFlaggedBins || a.SketchFlaggedBins != a.SubspaceFlaggedBins {
+		fmt.Fprintf(os.Stderr, "benchjson: GATE FAILED: sketch/subspace disagree (%d vs %d flagged, %d common, %d/%d spikes)\n",
+			a.SketchFlaggedBins, a.SubspaceFlaggedBins, a.CommonFlaggedBins, a.SpikesCaughtByBoth, a.SpikesInjected)
 		failed = true
 	}
 	for _, bk := range snap.Backends {
@@ -240,9 +237,9 @@ func main() {
 	if failed {
 		os.Exit(1)
 	}
-	fmt.Printf("benchjson: v1 ingest %.1fx CSV; v2 raw %.2fx v1 (%.1fx fewer reads, %.4f allocs/bin); xor %.2fx compression at %.2fx v1 decode cost; sketch refit %.0fx covtracker, %.0fx full SVD; agreement %d/%d bins; subspace restore %.0fx re-seed, sketch snapshot %.3fx subspace size\n",
+	fmt.Printf("benchjson: v1 ingest %.1fx CSV; v2 raw %.2fx v1 (%.1fx fewer reads, %.4f allocs/bin); xor %.2fx compression at %.2fx v1 decode cost; sketch refit %.0fx full SVD; agreement %d/%d bins; subspace restore %.0fx re-seed, sketch snapshot %.3fx subspace size\n",
 		ing.SpeedupVsCSV, ing.V2SpeedupVsV1, ing.ReadReduction, ing.V2AllocsPerBin, ing.XORCompression, ing.XORVsV1Ratio,
-		sk.SpeedupVsCovTracker, sk.SpeedupVsFullSVD, a.CommonFlaggedBins, a.IncrementalFlaggedBins,
+		sk.SpeedupVsFullSVD, a.CommonFlaggedBins, a.SubspaceFlaggedBins,
 		snap.SubspaceRestoreSpeedup, snap.SketchVsSubspaceSize)
 }
 
@@ -473,19 +470,6 @@ func measureSketch() (*sketchReport, error) {
 		return nil, err
 	}
 
-	tr, err := core.NewCovTracker(ingestLinks, 1)
-	if err != nil {
-		return nil, err
-	}
-	tr.UpdateAll(y)
-	covNs, err := timeIt(3, func() error {
-		_, err := tr.Model(refitRank)
-		return err
-	})
-	if err != nil {
-		return nil, err
-	}
-
 	sk, err := core.NewFDSketch(ingestLinks, ell)
 	if err != nil {
 		return nil, err
@@ -512,25 +496,26 @@ func measureSketch() (*sketchReport, error) {
 	if err != nil {
 		return nil, err
 	}
-	runtime.KeepAlive(tr)
 	return &sketchReport{
-		Benchmark:           "SketchRefit",
-		Links:               ingestLinks,
-		Rank:                refitRank,
-		SketchSize:          ell,
-		FullSVDRefitNs:      round1(fullSVD),
-		CovTrackerRefitNs:   round1(covNs),
-		SketchRefitNs:       round1(sketchNs),
-		SpeedupVsCovTracker: round1(covNs / sketchNs),
-		SpeedupVsFullSVD:    round1(fullSVD / sketchNs),
-		Agreement:           *agree,
+		Benchmark:        "SketchRefit",
+		Links:            ingestLinks,
+		Rank:             refitRank,
+		SketchSize:       ell,
+		FullSVDRefitNs:   round1(fullSVD),
+		SketchRefitNs:    round1(sketchNs),
+		SpeedupVsFullSVD: round1(fullSVD / sketchNs),
+		Agreement:        *agree,
 	}, nil
 }
 
 // measureAgreement reruns the acceptance scenario of the sketch
 // backend's conformance test: the trafficgen spike trace on Abilene,
-// sketch at exactly 2x rank against the exact-covariance incremental
-// backend, synchronized refits, flagged bin sets compared.
+// sketch at exactly 2x rank against the exact windowed subspace
+// backend, synchronized refits, flagged bin sets compared. Both run at
+// the seed's 3-sigma rank (an unpinned subspace refit re-resolves it,
+// while the sketch keeps its seed rank), and the subspace window is
+// sized for every bin the run feeds it (NewOnlineDetector caps it at
+// the seed history's length).
 func measureAgreement() (*agreementReport, error) {
 	const historyBins, streamBins = 1008, 288
 	spikes := []int{40, 150, 260}
@@ -552,21 +537,26 @@ func measureAgreement() (*agreementReport, error) {
 	stream := mat.NewDense(streamBins, m, links.RawData()[historyBins*m:])
 	routing := topo.RoutingMatrix()
 
-	inc, err := core.NewIncrementalDetector(history, routing, core.IncrementalConfig{Lambda: 1})
+	seed, err := core.NewDiagnoser(history, routing, core.Options{})
 	if err != nil {
 		return nil, err
 	}
-	rank := inc.Stats().Rank
-	sd, err := core.NewSketchDetector(history, routing, core.SketchConfig{SketchSize: 2 * rank})
+	rank := seed.Detector().Model().Rank()
+	opts := core.Options{Rank: rank}
+	online, err := core.NewOnlineDetector(history, routing, core.OnlineConfig{Window: historyBins + streamBins, Options: opts})
 	if err != nil {
 		return nil, err
 	}
-	incFlagged := map[int]bool{}
+	sd, err := core.NewSketchDetector(history, routing, core.SketchConfig{SketchSize: 2 * rank, Options: opts})
+	if err != nil {
+		return nil, err
+	}
+	onlineFlagged := map[int]bool{}
 	skFlagged := map[int]bool{}
 	half := streamBins / 2
 	for _, span := range [][2]int{{0, half}, {half, streamBins}} {
 		chunk := mat.NewDense(span[1]-span[0], m, stream.RawData()[span[0]*m:span[1]*m])
-		ia, err := inc.ProcessBatch(chunk)
+		oa, err := online.ProcessBatch(chunk)
 		if err != nil {
 			return nil, err
 		}
@@ -574,13 +564,13 @@ func measureAgreement() (*agreementReport, error) {
 		if err != nil {
 			return nil, err
 		}
-		for _, a := range ia {
-			incFlagged[a.Seq] = true
+		for _, a := range oa {
+			onlineFlagged[a.Seq] = true
 		}
 		for _, a := range sa {
 			skFlagged[a.Seq] = true
 		}
-		if err := inc.Refit(); err != nil {
+		if err := online.Refit(); err != nil {
 			return nil, err
 		}
 		if err := sd.Refit(); err != nil {
@@ -588,25 +578,25 @@ func measureAgreement() (*agreementReport, error) {
 		}
 	}
 	common, caught := 0, 0
-	for seq := range incFlagged {
+	for seq := range onlineFlagged {
 		if skFlagged[seq] {
 			common++
 		}
 	}
 	for _, s := range spikes {
-		if incFlagged[s] && skFlagged[s] {
+		if onlineFlagged[s] && skFlagged[s] {
 			caught++
 		}
 	}
 	return &agreementReport{
-		HistoryBins:            historyBins,
-		StreamBins:             streamBins,
-		SpikesInjected:         len(spikes),
-		SketchSize:             sd.SketchSize(),
-		IncrementalFlaggedBins: len(incFlagged),
-		SketchFlaggedBins:      len(skFlagged),
-		CommonFlaggedBins:      common,
-		SpikesCaughtByBoth:     caught,
+		HistoryBins:         historyBins,
+		StreamBins:          streamBins,
+		SpikesInjected:      len(spikes),
+		SketchSize:          sd.SketchSize(),
+		SubspaceFlaggedBins: len(onlineFlagged),
+		SketchFlaggedBins:   len(skFlagged),
+		CommonFlaggedBins:   common,
+		SpikesCaughtByBoth:  caught,
 	}, nil
 }
 
@@ -629,9 +619,6 @@ func measureSnapshot() (*snapshotReport, error) {
 	}{
 		{"subspace", func() (core.ViewDetector, error) {
 			return core.NewOnlineDetector(y, routing, core.OnlineConfig{Window: bins})
-		}},
-		{"incremental", func() (core.ViewDetector, error) {
-			return core.NewIncrementalDetector(y, routing, core.IncrementalConfig{})
 		}},
 		{"sketch", func() (core.ViewDetector, error) {
 			return core.NewSketchDetector(y, routing, core.SketchConfig{})

@@ -21,16 +21,12 @@
 // -detector flag selects the shard's backend:
 //
 //	subspace     windowed subspace method (default)
-//	incremental  covariance-tracking refits, -lambda forgetting,
-//	             -drift-tol rebuild gate
 //	multiflow    one model per metric with voting (-metrics names the
 //	             CSV's stacked column blocks, -quorum the vote); write
 //	             such a CSV with trafficgen -metrics
 //	ewma         per-link EWMA forecasting baseline (-alpha gain, 0 =
 //	             grid search at seed; -k threshold multiplier); alarms
 //	             report the worst link's residual, not an OD flow
-//	holtwinters  per-link level+trend forecasting baseline (-alpha,
-//	             -beta, -k)
 //	fourier      per-link sinusoid-basis fit, background refits (-k)
 //	hybrid       cheap forecast triage (-triage names the kind, default
 //	             ewma) escalating alarmed bins to a subspace stage for
@@ -43,8 +39,6 @@
 //	             rows, 0 = 4x rank; -drift-tol rebuild gate): O(l x m)
 //	             memory and the cheapest refit, for wide deployments
 //
-//	diagnose -topology abilene -links links.csv -stream -history 1008 \
-//	    -refit 288 -detector incremental -lambda 0.999
 //	diagnose -topology abilene -links links.csv -stream -history 1008 \
 //	    -detector ewma -k 6
 //	diagnose -topology abilene -links links.csv -stream -history 1008 \
@@ -99,16 +93,14 @@ func main() {
 	historyBins := flag.Int("history", 1008, "streaming: bins that seed the model (the paper's week is 1008)")
 	batchSize := flag.Int("batch", 64, "streaming: bins per dispatched batch")
 	refitEvery := flag.Int("refit", 0, "streaming: background-refit interval in bins (0 = never)")
-	detector := flag.String("detector", "subspace", "streaming backend: subspace, incremental, multiflow, ewma, holtwinters, fourier, hybrid, or sketch")
+	detector := flag.String("detector", "subspace", "streaming backend: subspace, multiflow, ewma, fourier, hybrid, or sketch")
 	sketchSize := flag.Int("sketch-size", 0, "sketch: Frequent-Directions rows (0 = 4x model rank)")
-	lambda := flag.Float64("lambda", 1, "incremental: covariance forgetting factor in (0,1]")
-	driftTol := flag.Float64("drift-tol", 0, "incremental: min residual-projector drift before a rebuild swaps in (0 = always)")
+	driftTol := flag.Float64("drift-tol", 0, "sketch: min residual-projector drift before a rebuild swaps in (0 = always)")
 	metrics := flag.String("metrics", "bytes,flows,pktsize", "multiflow: names of the CSV's stacked metric blocks")
 	quorum := flag.Int("quorum", 1, "multiflow: how many metrics must flag a bin")
-	alpha := flag.Float64("alpha", 0, "ewma/holtwinters: level smoothing gain (0 = ewma grid search at seed, holtwinters 0.3)")
-	beta := flag.Float64("beta", 0, "holtwinters: trend smoothing gain (0 = 0.1)")
+	alpha := flag.Float64("alpha", 0, "ewma: smoothing gain (0 = grid search at seed)")
 	thresholdK := flag.Float64("k", 0, "forecast backends: alarm at mean + k*sigma of tracked residuals (0 = 6)")
-	triage := flag.String("triage", "ewma", "hybrid: triage stage kind (ewma, holtwinters, fourier)")
+	triage := flag.String("triage", "ewma", "hybrid: triage stage kind (ewma, fourier)")
 	escalation := flag.String("escalation", "immediate", "hybrid: escalation policy (immediate, confirm:<n>, always)")
 	hysteresis := flag.Int("hysteresis", 0, "hybrid: stay escalated for n bins after the last triage alarm (0 = off)")
 	incidents := flag.Bool("incidents", false, "streaming: correlate alarms into incidents and print open/closed incident lines instead of per-bin alarms")
@@ -138,13 +130,11 @@ func main() {
 			// AddView rejects an unknown -detector.
 			viewOpts: []netanomaly.ViewOption{
 				netanomaly.WithDetectorKind(*detector),
-				netanomaly.WithLambda(*lambda),
 				netanomaly.WithDriftTolerance(*driftTol),
 				netanomaly.WithSketchSize(*sketchSize),
 				netanomaly.WithMetrics(strings.Split(*metrics, ",")...),
 				netanomaly.WithQuorum(*quorum),
 				netanomaly.WithAlpha(*alpha),
-				netanomaly.WithBeta(*beta),
 				netanomaly.WithThresholdK(*thresholdK),
 				netanomaly.WithTriageKind(netanomaly.DetectorKind(*triage)),
 				netanomaly.WithEscalation(*escalation),

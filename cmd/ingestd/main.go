@@ -64,10 +64,9 @@ func main() {
 	socketPath := flag.String("socket", "", "unix socket path (empty to disable)")
 	useStdin := flag.Bool("stdin", false, "also ingest one binary stream from stdin")
 	conns := flag.Int("conns", 0, "exit after this many connections (0 = serve until signalled)")
-	detector := flag.String("detector", "subspace", "shard backend: subspace, incremental, sketch, multiflow, ewma, holtwinters, fourier, or hybrid")
+	detector := flag.String("detector", "subspace", "shard backend: subspace, sketch, multiflow, ewma, fourier, or hybrid")
 	sketchSize := flag.Int("sketch-size", 0, "sketch: Frequent-Directions rows (0 = 4x model rank)")
-	lambda := flag.Float64("lambda", 1, "incremental: covariance forgetting factor in (0,1]")
-	driftTol := flag.Float64("drift-tol", 0, "incremental/sketch: min residual drift before a rebuild swaps in")
+	driftTol := flag.Float64("drift-tol", 0, "sketch: min residual drift before a rebuild swaps in")
 	confidence := flag.Float64("confidence", 0.999, "detection confidence level")
 	rank := flag.Int("rank", 0, "fixed normal-subspace rank (0 = 3-sigma rule)")
 	batchSize := flag.Int("batch", 64, "bins per dispatched batch")
@@ -108,7 +107,6 @@ func main() {
 	viewOpts := []netanomaly.ViewOption{
 		netanomaly.WithDetector(kind),
 		netanomaly.WithSketchSize(*sketchSize),
-		netanomaly.WithLambda(*lambda),
 		netanomaly.WithDriftTolerance(*driftTol),
 	}
 	if kind == netanomaly.DetectorMultiFlow {
@@ -446,10 +444,13 @@ func main() {
 // writeCheckpoint writes the monitor checkpoint — followed, when the
 // incident layer is on, by the correlator's own envelope (NAMS
 // envelopes self-delimit, so the two concatenate in one file) — next to
-// its final path and renames it into place, so a crash mid-write leaves
-// the previous checkpoint intact and a reader never sees a torn file.
+// its final path, syncs it, renames it into place and syncs the
+// directory, so a crash mid-write leaves the previous checkpoint intact,
+// a reader never sees a torn file, and a rename that returned survives
+// power loss.
 func writeCheckpoint(mon *netanomaly.Monitor, corr *netanomaly.Correlator, path string) error {
-	tmp, err := os.CreateTemp(filepath.Dir(path), ".checkpoint-*.tmp")
+	dir := filepath.Dir(path)
+	tmp, err := os.CreateTemp(dir, ".checkpoint-*.tmp")
 	if err != nil {
 		return err
 	}
@@ -464,10 +465,25 @@ func writeCheckpoint(mon *netanomaly.Monitor, corr *netanomaly.Correlator, path 
 			return err
 		}
 	}
+	if err := tmp.Sync(); err != nil {
+		tmp.Close()
+		return err
+	}
 	if err := tmp.Close(); err != nil {
 		return err
 	}
-	return os.Rename(tmp.Name(), path)
+	if err := os.Rename(tmp.Name(), path); err != nil {
+		return err
+	}
+	d, err := os.Open(dir)
+	if err != nil {
+		return err
+	}
+	if err := d.Sync(); err != nil {
+		d.Close()
+		return err
+	}
+	return d.Close()
 }
 
 // printIncident renders one incident transition; update events are

@@ -86,16 +86,15 @@
 //     Pick it when you want the paper's exact semantics, per-bin flow
 //     identification, and refit cost is acceptable (full SVD over the
 //     window).
-//   - DetectorIncremental (WithLambda, WithDriftTolerance): maintains a
-//     running mean/covariance with forgetting factor lambda instead of
-//     a raw window — batch updates are rank-1 and allocation-free, and
-//     a rebuild solves only the m x m eigenproblem (about 5x cheaper
-//     than the window SVD at m=120, see BenchmarkIncrementalRefit), so
-//     it scales to large link counts and frequent refits. Lambda 1
-//     reproduces the batch fit exactly (and flags the same bins as the
-//     subspace backend on the same trace); 0.999 forgets with roughly a
-//     one-week time constant at ten-minute bins — use it when traffic
-//     drifts. WithDriftTolerance skips rebuild swaps while the residual
+//   - DetectorSketch (WithSketchSize, WithDriftTolerance): maintains
+//     the same model from a Frequent-Directions sketch of the
+//     covariance — O(l x m) memory instead of a window of raw bins, and
+//     a rebuild solves only the small l x l sketch eigenproblem (over
+//     1000x cheaper than the window SVD at m=120, see
+//     BenchmarkSketchRefit), so it scales to large link counts and
+//     frequent refits — use it when traffic drifts. At l = 2x rank it
+//     flags the same bins as the subspace backend on the spike trace.
+//     WithDriftTolerance skips rebuild swaps while the residual
 //     projector has moved less than the tolerance, exploiting the
 //     paper's observation that P P^T is stable week to week.
 //   - DetectorMultiFlow (WithMetrics, WithQuorum): one subspace model
@@ -106,19 +105,18 @@
 //     catches port scans and small-flow DDoS that move flow counts
 //     without moving bytes; raise the quorum to demand agreement and
 //     suppress single-metric noise.
-//   - DetectorEWMA / DetectorHoltWinters / DetectorFourier (WithAlpha,
-//     WithBeta, WithThresholdK): the paper's temporal forecasting
-//     baselines (Sections 6.2, 7.3), streaming. Each link is forecast
-//     independently — incremental EWMA (alpha grid-searched at seed
-//     when unset) or level+trend smoothing, or a sinusoid-basis fit
+//   - DetectorEWMA / DetectorFourier (WithAlpha, WithThresholdK): the
+//     paper's temporal forecasting baselines (Sections 6.2, 7.3),
+//     streaming. Each link is forecast independently — incremental EWMA
+//     (alpha grid-searched at seed when unset), or a sinusoid-basis fit
 //     refit in the background on a window snapshot — and a link alarms
 //     when its residual exceeds an adaptive threshold: mean + k*sigma
 //     of its exponentially tracked residuals, re-estimated from the
 //     retained window on every refit, so thresholds follow the traffic
 //     level. Alarmed bins are withheld from forecaster state, which
 //     suppresses the footnote-4 spike echo online. These are the
-//     cheapest backends (no matrix pass for the smoothing kinds —
-//     see BenchmarkForecastProcessBatch) and good per-link change
+//     cheapest backends (no matrix pass for EWMA — see
+//     BenchmarkForecastProcessBatch) and good per-link change
 //     detectors, but they cannot identify the OD flow behind an alarm
 //     (Diagnosis.Flow is -1) and their detection degrades as per-link
 //     variability grows relative to anomaly size — the regime where
@@ -146,8 +144,8 @@
 // simulated measurement plane and the multi-metric backend
 // (internal/netmeas), offline temporal baselines (internal/timeseries)
 // and their streaming detector forms (internal/forecast), the
-// subspace method, the ViewDetector contract and the incremental
-// backend (internal/core), the concurrent streaming engine
+// subspace method, the ViewDetector contract and the sketch backend
+// (internal/core), the concurrent streaming engine
 // (internal/engine), and the paper's full evaluation (internal/eval,
 // internal/experiments).
 package netanomaly

@@ -55,16 +55,16 @@ func ExampleNewMonitor() {
 }
 
 // ExampleAddView registers a subspace-family backend with options: the
-// incremental kind maintains the same model from a running covariance,
-// making refits cheap enough to run often.
+// sketch kind maintains the model from a Frequent-Directions sketch of
+// the covariance, making refits cheap enough to run often.
 func ExampleAddView() {
 	topo, history, stream, _ := exampleData(8)
 
 	mon := netanomaly.NewMonitor(netanomaly.MonitorConfig{RefitEvery: 32})
 	defer mon.Close()
 	err := netanomaly.AddView(mon, "edge", history, topo,
-		netanomaly.WithDetector(netanomaly.DetectorIncremental),
-		netanomaly.WithLambda(0.999), // ~one-week forgetting at 10-minute bins
+		netanomaly.WithDetector(netanomaly.DetectorSketch),
+		netanomaly.WithSketchSize(16), // rows; memory is 16 x links
 	)
 	if err != nil {
 		log.Fatal(err)
@@ -85,7 +85,7 @@ func ExampleAddView() {
 	}
 	fmt.Printf("backend %s processed %d bins, spike detected: %v\n",
 		stats.Backend, stats.Processed, spiked)
-	// Output: backend incremental processed 64 bins, spike detected: true
+	// Output: backend sketch processed 64 bins, spike detected: true
 }
 
 // ExampleAddView_forecast registers a temporal forecasting backend —

@@ -16,7 +16,7 @@ import (
 // spectral error at most 2 * total energy / ell (Liberty 2013, Ghashami
 // et al. 2016). Memory is O(ell * m) regardless of how many bins have
 // streamed through — the property that lets a covariance-based detector
-// run per view at a scale where even an m x m tracker's refit cost
+// run per view at a scale where even an m x m covariance's refit cost
 // hurts, let alone a sliding window of raw bins.
 //
 // When the buffer fills, the sketch shrinks: it eigendecomposes the
@@ -225,7 +225,7 @@ func (s *FDSketch) PCA() (*PCA, int, error) {
 	p := &PCA{
 		Components:  comps,
 		Variances:   variances,
-		Projections: mat.Zeros(1, s.m), // no temporal view, like CovTracker
+		Projections: mat.Zeros(1, s.m), // a sketch keeps no temporal view
 		Means:       mat.CloneVec(s.mean),
 		SampleCount: s.n,
 	}
@@ -244,26 +244,25 @@ type SketchConfig struct {
 	// RefitEvery triggers a background model rebuild from the sketch
 	// after this many processed bins; 0 disables automatic rebuilds.
 	RefitEvery int
-	// DriftTol gates automatic rebuilds exactly as in
-	// IncrementalConfig: swap only when the residual projector moved at
-	// least this far (Frobenius). 0 swaps every interval.
+	// DriftTol gates automatic rebuilds: swap only when the residual
+	// projector moved at least this far (Frobenius). 0 swaps every
+	// interval.
 	DriftTol float64
 	// Options configure the diagnoser (confidence, sigma, fixed rank).
 	Options Options
 }
 
-// SketchDetector is the Frequent-Directions streaming backend: the
-// ninth member of the detector family. It seeds exactly like the
-// subspace and incremental backends (full batch fit on the history, the
+// SketchDetector is the Frequent-Directions streaming backend. It seeds
+// exactly like the subspace backend (full batch fit on the history, the
 // paper's rank separation), then tracks the covariance in an FDSketch
-// instead of a window or an m x m tracker, so per-view memory is
-// O(ell*m) and a rebuild solves an ell-sized eigenproblem instead of an
-// m x m one — the cheapest refit in the family, bought with a bounded
+// instead of a window of raw bins, so per-view memory is O(ell*m) and a
+// rebuild solves an ell-sized eigenproblem instead of an SVD of the
+// window — the cheapest refit in the family, bought with a bounded
 // spectral error that detection absorbs (the normal subspace needs only
 // the top-rank directions, which FD preserves best).
 //
-// Concurrency follows IncrementalDetector: lock-free detection against
-// an atomically swapped Diagnoser, background rebuilds on a sketch
+// Concurrency follows OnlineDetector: lock-free detection against an
+// atomically swapped Diagnoser, background rebuilds on a sketch
 // snapshot serialized by a RefitGate, deferred error reporting.
 type SketchDetector struct {
 	a        *mat.Dense
@@ -307,9 +306,9 @@ func sketchSizeFor(ell, rank int) (int, error) {
 }
 
 // NewSketchDetector seeds the model with a full batch fit on history
-// (bins x links) — identical to the subspace and incremental seeds, so
-// all three start from the same model — and initializes the sketch from
-// the same rows. routing (links x flows) drives identification.
+// (bins x links) — identical to the subspace seed, so both start from
+// the same model — and initializes the sketch from the same rows.
+// routing (links x flows) drives identification.
 func NewSketchDetector(history, a *mat.Dense, cfg SketchConfig) (*SketchDetector, error) {
 	cfg.Options.fillDefaults()
 	t, links := history.Dims()

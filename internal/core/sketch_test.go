@@ -6,6 +6,7 @@ import (
 
 	"netanomaly/internal/mat"
 	"netanomaly/internal/topology"
+	"netanomaly/internal/traffic"
 )
 
 // TestFDSketchApproximatesPCA checks the Frequent-Directions guarantee
@@ -68,35 +69,44 @@ func TestFDSketchApproximatesPCA(t *testing.T) {
 	}
 }
 
-// TestSketchAgreesWithIncremental is the acceptance check: on the
+// TestSketchAgreesWithSubspace is the acceptance check: on the
 // trafficgen spike scenario, with the sketch at exactly 2*rank, the
-// sketch backend must flag the same bins as the exact-covariance
-// incremental backend across synchronized refits — in particular every
-// injected spike, identified to the right flow.
-func TestSketchAgreesWithIncremental(t *testing.T) {
+// sketch backend must flag the same bins as the exact windowed subspace
+// backend across synchronized refits — in particular every injected
+// spike, identified to the right flow. Both run at the seed's 3-sigma
+// rank: the sketch keeps its seed rank across refits, while an unpinned
+// subspace refit re-resolves it (here to 5, which flags bin 255 too).
+// The subspace window is sized for every bin the run feeds it, but
+// NewOnlineDetector caps it at the seed history's length.
+func TestSketchAgreesWithSubspace(t *testing.T) {
 	const historyBins, streamBins = 1008, 288
 	spikes := []int{40, 150, 260}
 	topo, history, stream, flow := streamDataset(t, 71, historyBins, streamBins, spikes)
 	routing := topo.RoutingMatrix()
 
-	inc, err := NewIncrementalDetector(history, routing, IncrementalConfig{Lambda: 1})
+	seed, err := NewDiagnoser(history, routing, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	rank := inc.Stats().Rank
-	sd, err := NewSketchDetector(history, routing, SketchConfig{SketchSize: 2 * rank})
+	rank := seed.Detector().Model().Rank()
+	opts := Options{Rank: rank}
+	online, err := NewOnlineDetector(history, routing, OnlineConfig{Window: historyBins + streamBins, Options: opts})
+	if err != nil {
+		t.Fatal(err)
+	}
+	sd, err := NewSketchDetector(history, routing, SketchConfig{SketchSize: 2 * rank, Options: opts})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if got := sd.Stats().Rank; got != rank {
-		t.Fatalf("seed ranks differ: sketch %d, incremental %d", got, rank)
+		t.Fatalf("seed ranks differ: sketch %d, subspace %d", got, rank)
 	}
 
-	var incAlarms, skAlarms []Alarm
+	var onlineAlarms, skAlarms []Alarm
 	half := streamBins / 2
 	for _, span := range [][2]int{{0, half}, {half, streamBins}} {
 		chunk := mat.NewDense(span[1]-span[0], stream.Cols(), stream.RawData()[span[0]*stream.Cols():span[1]*stream.Cols()])
-		ia, err := inc.ProcessBatch(chunk)
+		oa, err := online.ProcessBatch(chunk)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -104,9 +114,11 @@ func TestSketchAgreesWithIncremental(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		incAlarms = append(incAlarms, ia...)
+		onlineAlarms = append(onlineAlarms, oa...)
 		skAlarms = append(skAlarms, sa...)
-		if err := inc.Refit(); err != nil {
+		// Refit both synchronously at the same point so the models stay
+		// in lockstep (background refits would swap at racy times).
+		if err := online.Refit(); err != nil {
 			t.Fatal(err)
 		}
 		if err := sd.Refit(); err != nil {
@@ -114,24 +126,24 @@ func TestSketchAgreesWithIncremental(t *testing.T) {
 		}
 	}
 
-	got, want := alarmSeqs(skAlarms), alarmSeqs(incAlarms)
+	got, want := alarmSeqs(skAlarms), alarmSeqs(onlineAlarms)
 	for _, spike := range spikes {
 		if !want[spike] {
-			t.Fatalf("incremental baseline missed spike %d; flagged %v", spike, want)
+			t.Fatalf("subspace baseline missed spike %d; flagged %v", spike, want)
 		}
 		if !got[spike] {
-			t.Fatalf("sketch missed spike %d flagged by incremental; sketch %v, incremental %v", spike, got, want)
+			t.Fatalf("sketch missed spike %d flagged by subspace; sketch %v, subspace %v", spike, got, want)
 		}
 	}
 	// Full agreement on flagged bins, not just spikes: at ell = 2*rank
 	// the sketch preserves the normal subspace well enough that the two
 	// backends reach the same verdict bin for bin on this trace.
 	if len(got) != len(want) {
-		t.Fatalf("flagged bins differ: sketch %v, incremental %v", got, want)
+		t.Fatalf("flagged bins differ: sketch %v, subspace %v", got, want)
 	}
 	for seq := range want {
 		if !got[seq] {
-			t.Fatalf("sketch missed bin %d flagged by incremental", seq)
+			t.Fatalf("sketch missed bin %d flagged by subspace", seq)
 		}
 	}
 	for _, a := range skAlarms {
@@ -228,4 +240,42 @@ func TestSketchSizeValidation(t *testing.T) {
 	if d.SketchSize() < 2*rank {
 		t.Fatalf("defaulted sketch size %d below 2*rank (%d)", d.SketchSize(), 2*rank)
 	}
+}
+
+// streamDataset splits a generated trace into a seed history and a
+// continuation stream with spikes injected at the given stream offsets
+// (flow 9, 9e7 bytes — comfortably detectable on Abilene).
+func streamDataset(t *testing.T, seed int64, historyBins, streamBins int, spikes []int) (*topology.Topology, *mat.Dense, *mat.Dense, int) {
+	t.Helper()
+	topo := topology.Abilene()
+	cfg := traffic.DefaultConfig(seed)
+	cfg.Bins = historyBins + streamBins
+	gen, err := traffic.NewGenerator(topo, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	x := gen.Generate()
+	const flow = 9
+	for _, s := range spikes {
+		x.Set(historyBins+s, flow, x.At(historyBins+s, flow)+9e7)
+	}
+	y := traffic.LinkLoads(topo, x)
+	links := topo.NumLinks()
+	history := mat.Zeros(historyBins, links)
+	for b := 0; b < historyBins; b++ {
+		history.SetRow(b, y.RowView(b))
+	}
+	stream := mat.Zeros(streamBins, links)
+	for b := 0; b < streamBins; b++ {
+		stream.SetRow(b, y.RowView(historyBins+b))
+	}
+	return topo, history, stream, flow
+}
+
+func alarmSeqs(alarms []Alarm) map[int]bool {
+	out := make(map[int]bool, len(alarms))
+	for _, a := range alarms {
+		out[a.Seq] = true
+	}
+	return out
 }

@@ -64,18 +64,19 @@ const (
 // (per-view and whole-monitor checkpoints) so a detector Restore can
 // never confuse an engine checkpoint for its own state.
 const (
-	SnapKindSubspace    byte = 1
-	SnapKindIncremental byte = 2
-	// SnapKindMultiscale belonged to the retired wavelet backend. It
-	// stays reserved and named so an old multiscale checkpoint is
-	// refused as a mismatch rather than misread; never reuse it.
-	SnapKindMultiscale  byte = 3
-	SnapKindMultiflow   byte = 4
-	SnapKindEWMA        byte = 5
-	SnapKindHoltWinters byte = 6
-	SnapKindFourier     byte = 7
-	SnapKindHybrid      byte = 8
-	SnapKindSketch      byte = 9
+	SnapKindSubspace  byte = 1
+	SnapKindMultiflow byte = 4
+	SnapKindEWMA      byte = 5
+	SnapKindFourier   byte = 7
+	SnapKindHybrid    byte = 8
+	SnapKindSketch    byte = 9
+
+	// The retired backends' kind bytes stay reserved and named so an
+	// old checkpoint of one is refused as a mismatch rather than
+	// misread; never reuse them.
+	SnapKindIncremental byte = 2 // running-covariance backend
+	SnapKindMultiscale  byte = 3 // wavelet backend
+	SnapKindHoltWinters byte = 6 // level+trend forecast backend
 
 	SnapKindView    byte = 0x20
 	SnapKindMonitor byte = 0x21

@@ -10,7 +10,7 @@ import (
 // uniform across backends so the engine and its callers can report on a
 // shard without knowing which implementation is behind it.
 type ViewStats struct {
-	// Backend names the implementation ("subspace", "incremental",
+	// Backend names the implementation ("subspace", "sketch",
 	// "multiflow", "ewma", ...).
 	Backend string
 	// Links is the expected measurement-vector width. For backends that
@@ -29,9 +29,9 @@ type ViewStats struct {
 }
 
 // ViewDetector is the streaming detection contract an engine shard runs
-// against: the subspace method and its Section 7 variants — incremental
-// covariance tracking, Frequent-Directions sketching, multi-metric
-// voting — and the forecast baselines all present this surface, so a
+// against: the subspace method and its Section 7 variants —
+// Frequent-Directions sketching, multi-metric voting — and the forecast
+// baselines all present this surface, so a
 // Monitor can mix backends freely.
 //
 // Implementations must be safe for one ProcessBatch caller at a time

@@ -151,7 +151,7 @@ func (m *Monitor) Checkpoint(w io.Writer) error {
 // view envelope, kind is the backend name ("subspace", "ewma", ...)
 // recovered from the embedded detector snapshot. The returned detector
 // must be constructed with the same parameters the checkpointed one was
-// (link count, lambda, levels, ...); the restore then replaces its
+// (link count, sketch size, ...); the restore then replaces its
 // mutable state and validates those parameters.
 type DetectorFactory func(name, kind string, links int) (core.ViewDetector, error)
 

@@ -37,10 +37,11 @@ const (
 	confSpikeBin    = 60
 )
 
-// conformanceFixtures builds all eight backends over one synthetic
-// Abilene trace (shared OD matrix, shared routing): the four subspace
-// family members (including the Frequent-Directions sketch), the three
-// forecast baselines, and the hybrid triage→identification composition.
+// conformanceFixtures builds all six backends over one synthetic
+// Abilene trace (shared OD matrix, shared routing): the three subspace
+// family members (windowed, Frequent-Directions sketch, multi-metric),
+// the two forecast baselines, and the hybrid triage→identification
+// composition.
 func conformanceFixtures(t *testing.T, seed int64) []backendFixture {
 	t.Helper()
 	topo := topology.Abilene()
@@ -75,10 +76,6 @@ func conformanceFixtures(t *testing.T, seed int64) []backendFixture {
 	if err != nil {
 		t.Fatal(err)
 	}
-	incremental, err := core.NewIncrementalDetector(history, routing, core.IncrementalConfig{})
-	if err != nil {
-		t.Fatal(err)
-	}
 	multiflow, err := netmeas.NewMultiMetricDetector(stackedHistory, routing, netmeas.MultiMetricConfig{})
 	if err != nil {
 		t.Fatal(err)
@@ -89,11 +86,10 @@ func conformanceFixtures(t *testing.T, seed int64) []backendFixture {
 	}
 	fixtures := []backendFixture{
 		{"subspace", subspace, history, stream, confSpikeBin, confSpikeBin},
-		{"incremental", incremental, history, stream, confSpikeBin, confSpikeBin},
 		{"sketch", sketch, history, stream, confSpikeBin, confSpikeBin},
 		{"multiflow", multiflow, stackedHistory, stackedStream, confSpikeBin, confSpikeBin},
 	}
-	for _, kind := range []forecast.Kind{forecast.EWMA, forecast.HoltWinters, forecast.Fourier} {
+	for _, kind := range []forecast.Kind{forecast.EWMA, forecast.Fourier} {
 		det, err := forecast.NewDetector(history, forecast.Config{Kind: kind})
 		if err != nil {
 			t.Fatal(err)
@@ -104,7 +100,7 @@ func conformanceFixtures(t *testing.T, seed int64) []backendFixture {
 	return fixtures
 }
 
-// hybridFixture composes the 8th backend: an EWMA triage stage over a
+// hybridFixture composes the hybrid backend: an EWMA triage stage over a
 // windowed subspace identification stage with immediate escalation.
 func hybridFixture(t *testing.T, history, routing *mat.Dense) *core.HybridDetector {
 	t.Helper()
@@ -306,10 +302,6 @@ func scenarioFixtures(t *testing.T, seed int64) ([]backendFixture, []traffic.Lab
 	if err != nil {
 		t.Fatal(err)
 	}
-	incremental, err := core.NewIncrementalDetector(history, routing, core.IncrementalConfig{})
-	if err != nil {
-		t.Fatal(err)
-	}
 	multiflow, err := netmeas.NewMultiMetricDetector(stackedHistory, routing, netmeas.MultiMetricConfig{})
 	if err != nil {
 		t.Fatal(err)
@@ -320,11 +312,10 @@ func scenarioFixtures(t *testing.T, seed int64) ([]backendFixture, []traffic.Lab
 	}
 	fixtures := []backendFixture{
 		{"subspace", subspace, history, stream, floodLo, floodHi},
-		{"incremental", incremental, history, stream, floodLo, floodHi},
 		{"sketch", sketch, history, stream, floodLo, floodHi},
 		{"multiflow", multiflow, stackedHistory, stackedStream, floodLo, floodHi},
 	}
-	for _, kind := range []forecast.Kind{forecast.EWMA, forecast.HoltWinters, forecast.Fourier} {
+	for _, kind := range []forecast.Kind{forecast.EWMA, forecast.Fourier} {
 		det, err := forecast.NewDetector(history, forecast.Config{Kind: kind})
 		if err != nil {
 			t.Fatal(err)
@@ -377,7 +368,7 @@ func TestMonitorScenarioStream(t *testing.T) {
 				// The flow-attributing backends must name the
 				// scenario's labeled flow.
 				switch f.name {
-				case "subspace", "incremental", "sketch":
+				case "subspace", "sketch":
 					if a.Flow != wantFlow {
 						t.Fatalf("%s attributed flow %d at bin %d, scenario labels %d", f.name, a.Flow, a.Seq, wantFlow)
 					}

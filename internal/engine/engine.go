@@ -3,9 +3,9 @@
 // traffic view (a topology, a vantage point, a customer network —
 // anything with its own routing matrix and measurement stream) and fans
 // measurement batches across a worker pool. A shard holds any
-// core.ViewDetector — the windowed subspace method, the incremental
-// covariance-tracking variant, the Frequent-Directions sketch, the
-// multi-metric voter, the forecast baselines, or the hybrid — so
+// core.ViewDetector — the windowed subspace method, the
+// Frequent-Directions sketch, the multi-metric voter, the forecast
+// baselines, or the hybrid — so
 // heterogeneous backends run side by side in one pool. Every backend is
 // non-blocking by contract: detection inside a shard runs against an
 // atomically swapped model, so a model refit in one view never stalls

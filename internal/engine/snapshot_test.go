@@ -23,7 +23,7 @@ func halves(f backendFixture) (*mat.Dense, *mat.Dense) {
 }
 
 // TestSnapshotResumeConformance is the conformance battery's
-// checkpoint leg, run for all eight backends: processing half the
+// checkpoint leg, run for all six backends: processing half the
 // stream, snapshotting, restoring into a freshly constructed detector
 // and processing the rest must be indistinguishable — alarms, Seq and
 // Stats — from the uninterrupted run. It also pins the canonical
@@ -110,7 +110,7 @@ func migrationIngest(t *testing.T, m *Monitor, view string, chunk *mat.Dense) []
 // checkpointed on one monitor and restored into an equivalently
 // configured view on another must continue the alarm stream
 // bin-for-bin — sequence offsets included — exactly as the monitor
-// that was never interrupted. Run for all eight backends, under -race
+// that was never interrupted. Run for all six backends, under -race
 // in CI.
 func TestViewMigration(t *testing.T) {
 	const seed = 141
@@ -368,25 +368,77 @@ func TestRestoreViewRejections(t *testing.T) {
 			t.Fatalf("view unusable after rejected restore: %v", err)
 		}
 	})
-	t.Run("retired multiscale kind", func(t *testing.T) {
-		// Rewrite the nested detector envelope's kind byte to the
-		// reserved multiscale value: an old checkpoint of the retired
-		// backend is well-formed, just not this view's state.
-		old := bytes.Clone(ckpt.Bytes())
-		inner := 4 + bytes.Index(old[4:], []byte("NAMS"))
-		if inner < 4 {
-			t.Fatal("view envelope nests no detector envelope")
+	// An old checkpoint of a retired backend is well-formed, just not
+	// this view's state: rewriting the nested detector envelope's kind
+	// byte to a reserved value must be refused as a mismatch.
+	for _, retired := range []struct {
+		name string
+		kind byte
+	}{
+		{"retired multiscale kind", core.SnapKindMultiscale},
+		{"retired incremental kind", core.SnapKindIncremental},
+		{"retired holtwinters kind", core.SnapKindHoltWinters},
+	} {
+		t.Run(retired.name, func(t *testing.T) {
+			old := bytes.Clone(ckpt.Bytes())
+			inner := 4 + bytes.Index(old[4:], []byte("NAMS"))
+			if inner < 4 {
+				t.Fatal("view envelope nests no detector envelope")
+			}
+			old[inner+5] = retired.kind
+			det, err := core.NewOnlineDetector(history6, mat.Identity(6), core.OnlineConfig{Window: 64})
+			if err != nil {
+				t.Fatal(err)
+			}
+			m := mkMonitor(det)
+			defer m.Close()
+			err = m.RestoreView("v", bytes.NewReader(old))
+			if !errors.Is(err, core.ErrSnapshotMismatch) || errors.Is(err, core.ErrSnapshotFormat) {
+				t.Fatalf("%s envelope restored into subspace view: %v", core.KindName(retired.kind), err)
+			}
+		})
+	}
+	t.Run("retired holtwinters triage", func(t *testing.T) {
+		mkHybrid := func() core.ViewDetector {
+			triage, err := forecast.NewDetector(history6, forecast.Config{Kind: forecast.EWMA})
+			if err != nil {
+				t.Fatal(err)
+			}
+			identify, err := core.NewOnlineDetector(history6, mat.Identity(6), core.OnlineConfig{Window: 64})
+			if err != nil {
+				t.Fatal(err)
+			}
+			h, err := core.NewHybridDetector(triage, identify, history6, core.HybridConfig{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			return h
 		}
-		old[inner+5] = core.SnapKindMultiscale
-		det, err := core.NewOnlineDetector(history6, mat.Identity(6), core.OnlineConfig{Window: 64})
-		if err != nil {
+		hsrc := mkMonitor(mkHybrid())
+		defer hsrc.Close()
+		var hck bytes.Buffer
+		if err := hsrc.CheckpointView("v", &hck); err != nil {
 			t.Fatal(err)
 		}
-		m := mkMonitor(det)
+		// View, hybrid and triage envelopes nest in that order; the
+		// triage stage's is the first carrying the ewma kind byte.
+		old := hck.Bytes()
+		at := -1
+		for i := 0; i+6 <= len(old); i++ {
+			if bytes.HasPrefix(old[i:], []byte("NAMS")) && old[i+5] == core.SnapKindEWMA {
+				at = i
+				break
+			}
+		}
+		if at < 0 {
+			t.Fatal("hybrid envelope nests no ewma triage envelope")
+		}
+		old[at+5] = core.SnapKindHoltWinters
+		m := mkMonitor(mkHybrid())
 		defer m.Close()
-		err = m.RestoreView("v", bytes.NewReader(old))
+		err := m.RestoreView("v", bytes.NewReader(old))
 		if !errors.Is(err, core.ErrSnapshotMismatch) || errors.Is(err, core.ErrSnapshotFormat) {
-			t.Fatalf("multiscale envelope restored into subspace view: %v", err)
+			t.Fatalf("hybrid with holtwinters triage restored into ewma-triage hybrid: %v", err)
 		}
 	})
 }

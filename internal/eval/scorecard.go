@@ -1,6 +1,6 @@
 package eval
 
-// The eight-backend × attack-scenario detection scorecard. Where
+// The six-backend × attack-scenario detection scorecard. Where
 // streaming.go scores one backend on one labeled stream, the scorecard
 // runs the full backend family over every scenario in the attack
 // library under identical seeds, producing the per-(backend, scenario)
@@ -24,11 +24,11 @@ import (
 )
 
 // ScorecardBackends is the full detector family the scorecard runs, in
-// table order: the four subspace-family members, the three forecast
+// table order: the three subspace-family members, the two forecast
 // baselines, and the hybrid composition.
 var ScorecardBackends = []string{
-	"subspace", "incremental", "sketch", "multiflow",
-	"ewma", "holtwinters", "fourier", "hybrid",
+	"subspace", "sketch", "multiflow",
+	"ewma", "fourier", "hybrid",
 }
 
 // ScorecardConfig parameterizes RunScorecard. The zero value takes the
@@ -110,7 +110,7 @@ func (s *Scorecard) Cell(backend, scenario string) *ScorecardCell {
 // library. Per scenario: one synthetic trace is generated, the
 // scenario composed onto its stream tail, link loads and the stacked
 // multi-metric series derived (scan-shaped flow-count injections
-// applied to the latter), and eight freshly seeded detectors replay the
+// applied to the latter), and six freshly seeded detectors replay the
 // identical stream through EvaluateStreamingFlows against the
 // scenario's ground truth. Automatic refits are disabled so the table
 // is deterministic in cfg.Seed.
@@ -230,15 +230,13 @@ func newScorecardDetector(backend string, history, stackedHistory, routing *mat.
 	switch backend {
 	case "subspace":
 		return core.NewOnlineDetector(history, routing, core.OnlineConfig{Window: window})
-	case "incremental":
-		return core.NewIncrementalDetector(history, routing, core.IncrementalConfig{})
 	case "sketch":
 		return core.NewSketchDetector(history, routing, core.SketchConfig{})
 	case "multiflow":
 		return netmeas.NewMultiMetricDetector(stackedHistory, routing, netmeas.MultiMetricConfig{
 			Online: core.OnlineConfig{Window: window},
 		})
-	case "ewma", "holtwinters", "fourier":
+	case "ewma", "fourier":
 		return forecast.NewDetector(history, forecast.Config{Kind: forecast.Kind(backend), Window: window})
 	case "hybrid":
 		triage, err := forecast.NewDetector(history, forecast.Config{Kind: forecast.EWMA, Window: window})

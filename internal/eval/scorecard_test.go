@@ -20,8 +20,8 @@ func TestRunScorecardShapeAndDeterminism(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(card.Backends) != 8 {
-		t.Fatalf("scorecard has %d backends, want 8", len(card.Backends))
+	if len(card.Backends) != 6 {
+		t.Fatalf("scorecard has %d backends, want 6", len(card.Backends))
 	}
 	if len(card.Scenarios) < 5 {
 		t.Fatalf("scorecard has %d scenarios, want >= 5", len(card.Scenarios))

@@ -1,7 +1,7 @@
 // Package forecast implements the paper's temporal forecasting baselines
-// — EWMA, Holt-Winters, and Fourier basis fitting (Sections 6.2 and 7.3)
-// — as streaming detector backends behind core.ViewDetector, so they run
-// in the concurrent engine side by side with the subspace method and the
+// — EWMA and Fourier basis fitting (Sections 6.2 and 7.3) — as
+// streaming detector backends behind core.ViewDetector, so they run in
+// the concurrent engine side by side with the subspace method and the
 // Section 7.3 comparison becomes reproducible online.
 //
 // Each backend forecasts every link's timeseries independently and
@@ -12,8 +12,6 @@
 //     withheld from the forecaster state, which suppresses the
 //     bin-after-a-spike echo exactly as the paper's footnote-4
 //     bidirectional minimum does offline.
-//   - holtwinters: double exponential smoothing (level + trend), the
-//     same recursion as timeseries.HoltWinters run incrementally.
 //   - fourier: least-squares fit of the paper's eight-period sinusoid
 //     basis on a window snapshot, refit in the background with the
 //     engine's refit-gate discipline; prediction extrapolates the
@@ -54,8 +52,6 @@ type Kind string
 const (
 	// EWMA is the exponentially weighted moving average forecaster.
 	EWMA Kind = "ewma"
-	// HoltWinters is the level+trend double exponential smoother.
-	HoltWinters Kind = "holtwinters"
 	// Fourier fits the paper's sinusoid basis on the retained window.
 	Fourier Kind = "fourier"
 )
@@ -65,13 +61,10 @@ const (
 type Config struct {
 	// Kind selects the model; default EWMA.
 	Kind Kind
-	// Alpha is the level smoothing gain in (0, 1]. For the EWMA kind, 0
-	// selects it per link by grid search on the seed history (the
-	// paper's multi-grid parameter search); for Holt-Winters, 0 uses
-	// 0.3. Ignored by the Fourier kind.
+	// Alpha is the EWMA smoothing gain in (0, 1]; 0 selects it per link
+	// by grid search on the seed history (the paper's multi-grid
+	// parameter search). Ignored by the Fourier kind.
 	Alpha float64
-	// Beta is the Holt-Winters trend gain in (0, 1]; 0 uses 0.1.
-	Beta float64
 	// K is the threshold multiplier: a link alarms when its absolute
 	// residual exceeds mean + K*sigma of its tracked residuals. 0 uses 6.
 	K float64
@@ -109,12 +102,6 @@ func (c *Config) fillDefaults() {
 	if c.Kind == "" {
 		c.Kind = EWMA
 	}
-	if c.Alpha == 0 && c.Kind == HoltWinters {
-		c.Alpha = 0.3
-	}
-	if c.Beta == 0 {
-		c.Beta = 0.1
-	}
 	if c.K == 0 {
 		c.K = 6
 	}
@@ -149,12 +136,12 @@ type fourierCoef struct {
 // seedState is everything a seed or refit computes off to the side
 // before committing, so a failed fit leaves the live state untouched.
 type seedState struct {
-	alpha        []float64
-	level, trend []float64
-	coef         *fourierCoef
-	rmean, rvar  []float64
-	window       *mat.RowRing
-	times        *intRing
+	alpha       []float64
+	level       []float64
+	coef        *fourierCoef
+	rmean, rvar []float64
+	window      *mat.RowRing
+	times       *intRing
 }
 
 // Detector is a streaming per-link forecasting detector satisfying
@@ -165,7 +152,6 @@ type seedState struct {
 // lock and never blocks detection.
 type Detector struct {
 	kind     Kind
-	beta     float64
 	k, adapt float64
 	binHours float64
 	periods  []float64
@@ -178,9 +164,8 @@ type Detector struct {
 	alphaCfg float64
 
 	mu    sync.Mutex // guards everything below
-	alpha []float64  // per-link level gain (ewma, holtwinters)
-	level []float64  // ewma: next-bin prediction; holtwinters: level
-	trend []float64  // holtwinters trend
+	alpha []float64  // per-link EWMA gain
+	level []float64  // per-link EWMA next-bin prediction
 	coef  *fourierCoef
 	// rmean/rvar are the exponentially weighted mean and variance of
 	// each link's absolute residual; the alarm threshold is
@@ -217,7 +202,6 @@ func NewDetector(history *mat.Dense, cfg Config) (*Detector, error) {
 	t, links := history.Dims()
 	d := &Detector{
 		kind:       cfg.Kind,
-		beta:       cfg.Beta,
 		k:          cfg.K,
 		adapt:      cfg.Adapt,
 		binHours:   cfg.BinHours,
@@ -244,15 +228,12 @@ func NewDetector(history *mat.Dense, cfg Config) (*Detector, error) {
 
 func validateConfig(cfg Config) error {
 	switch cfg.Kind {
-	case EWMA, HoltWinters, Fourier:
+	case EWMA, Fourier:
 	default:
 		return fmt.Errorf("forecast: unknown kind %q", cfg.Kind)
 	}
 	if cfg.Alpha < 0 || cfg.Alpha > 1 {
 		return fmt.Errorf("forecast: alpha %v out of [0,1]", cfg.Alpha)
-	}
-	if cfg.Beta < 0 || cfg.Beta > 1 {
-		return fmt.Errorf("forecast: beta %v out of [0,1]", cfg.Beta)
 	}
 	if cfg.K < 0 {
 		return fmt.Errorf("forecast: threshold multiplier %v < 0", cfg.K)
@@ -271,7 +252,7 @@ func validateConfig(cfg Config) error {
 
 // minSeedBins is the smallest history the kind can be seeded on: the
 // Fourier fit needs more rows than basis columns to be determined, the
-// recursive kinds just need a residual sample to estimate thresholds.
+// EWMA recursion just needs a residual sample to estimate thresholds.
 func (d *Detector) minSeedBins() int {
 	if d.kind == Fourier {
 		return 2 * (2*len(d.periods) + 1)
@@ -300,7 +281,6 @@ func (d *Detector) seedState(history *mat.Dense, start, capacity int, alphaCfg f
 	st := &seedState{
 		alpha:  make([]float64, links),
 		level:  make([]float64, links),
-		trend:  make([]float64, links),
 		rmean:  make([]float64, links),
 		rvar:   make([]float64, links),
 		window: mat.NewRowRing(capacity, links),
@@ -327,7 +307,7 @@ func (d *Detector) seedState(history *mat.Dense, start, capacity int, alphaCfg f
 			return nil, fmt.Errorf("forecast: link %d: %w", l, err)
 		}
 		st.alpha[l] = alpha
-		st.level[l], st.trend[l] = fit.level, fit.trend
+		st.level[l] = fit.level
 		if st.coef != nil {
 			st.coef.coef[l] = fit.coef
 		}
@@ -340,16 +320,16 @@ func (d *Detector) seedState(history *mat.Dense, start, capacity int, alphaCfg f
 	return st, nil
 }
 
-// linkFit is one link's replayed model fit: the forecaster end state,
-// the fitted basis coefficients (Fourier only), and the threshold
-// statistics of the post-warmup residuals.
+// linkFit is one link's replayed model fit: the forecaster end state
+// (EWMA only), the fitted basis coefficients (Fourier only), and the
+// threshold statistics of the post-warmup residuals.
 type linkFit struct {
-	level, trend float64
-	coef         []float64
-	rmean, rvar  float64
+	level       float64
+	coef        []float64
+	rmean, rvar float64
 }
 
-// fitLink replays (smoothing kinds) or fits (Fourier, against the
+// fitLink replays (EWMA) or fits (Fourier, against the
 // provided design matrix) one link's column from a cold start, writing
 // one-step residuals into the resid buffer (len(col)) and returning the
 // end state plus residual statistics. It is the single shared fit used
@@ -365,17 +345,6 @@ func (d *Detector) fitLink(col []float64, alpha float64, design *mat.Dense, resi
 			pred = alpha*z + (1-alpha)*pred
 		}
 		fit.level = pred
-	case HoltWinters:
-		level, trend := col[0], 0.0
-		resid[0] = 0
-		for i := 1; i < len(col); i++ {
-			pred := level + trend
-			resid[i] = col[i] - pred
-			newLevel := alpha*col[i] + (1-alpha)*pred
-			trend = d.beta*(newLevel-level) + (1-d.beta)*trend
-			level = newLevel
-		}
-		fit.level, fit.trend = level, trend
 	case Fourier:
 		coef, err := mat.SolveLS(design, col)
 		if err != nil {
@@ -392,7 +361,7 @@ func (d *Detector) fitLink(col []float64, alpha float64, design *mat.Dense, resi
 }
 
 // warmup is the prefix of replayed residuals excluded from threshold
-// estimation: the cold-started recursions have not converged there.
+// estimation: the cold-started recursion has not converged there.
 func warmup(n int) int {
 	w := n / 8
 	if w < 2 {
@@ -425,7 +394,7 @@ func absStats(resid []float64) (mean, variance float64) {
 // the detector exclusively (construction).
 func (d *Detector) install(st *seedState) {
 	d.alpha = st.alpha
-	d.level, d.trend = st.level, st.trend
+	d.level = st.level
 	d.coef = st.coef
 	d.rmean, d.rvar = st.rmean, st.rvar
 	d.alarmRun = make([]int, d.links)
@@ -530,8 +499,6 @@ func (d *Detector) ProcessBatch(y *mat.Dense) ([]core.Alarm, error) {
 			switch d.kind {
 			case EWMA:
 				pred[l] = d.level[l]
-			case HoltWinters:
-				pred[l] = d.level[l] + d.trend[l]
 			case Fourier:
 				pred[l] = mat.Dot(basis, d.coef.coef[l])
 			}
@@ -584,11 +551,6 @@ func (d *Detector) ProcessBatch(y *mat.Dense) ([]core.Alarm, error) {
 			case EWMA:
 				r = z - d.level[l]
 				d.level[l] = d.alpha[l]*z + (1-d.alpha[l])*d.level[l]
-			case HoltWinters:
-				r = z - pred[l]
-				newLevel := d.alpha[l]*z + (1-d.alpha[l])*pred[l]
-				d.trend[l] = d.beta*(newLevel-d.level[l]) + (1-d.beta)*d.trend[l]
-				d.level[l] = newLevel
 			case Fourier:
 				r = z - pred[l]
 			}
@@ -646,8 +608,8 @@ func (d *Detector) snapshotLocked() *refitSnapshot {
 }
 
 // refitState re-estimates the per-link threshold statistics from the
-// snapshot — replaying the recursions for the smoothing kinds, refitting
-// the basis for the Fourier kind — entirely outside the detector lock.
+// snapshot — replaying the recursion for EWMA, refitting the basis for
+// the Fourier kind — entirely outside the detector lock.
 // The returned state carries only the fields a refit replaces (thresholds
 // and, for Fourier, coefficients); nil slices mean "keep the live value".
 func (d *Detector) refitState(snap *refitSnapshot) (*seedState, error) {
@@ -812,25 +774,22 @@ func (d *Detector) Stats() core.ViewStats {
 }
 
 // snapshotKind maps the forecast kind to its snapshot kind byte, so an
-// EWMA snapshot can never restore into a Holt-Winters detector even
-// though the two share most state.
+// EWMA snapshot can never restore into a Fourier detector even though
+// the two share most state.
 func snapshotKind(k Kind) byte {
-	switch k {
-	case EWMA:
+	if k == EWMA {
 		return core.SnapKindEWMA
-	case HoltWinters:
-		return core.SnapKindHoltWinters
-	default:
-		return core.SnapKindFourier
 	}
+	return core.SnapKindFourier
 }
 
 // Snapshot serializes the per-link forecaster recursions (gains, level,
-// trend, fitted Fourier basis), the adaptive threshold statistics, the
+// fitted Fourier basis), the adaptive threshold statistics, the
 // alarm-run counters, the refit window with its bin-time ring, and the
-// absolute clock that keeps the Fourier phase aligned. The refit gate
-// is taken first so an in-flight refit is waited out, never captured
-// mid-install.
+// absolute clock that keeps the Fourier phase aligned. A per-link trend
+// slot, always zero, keeps the envelope the shape it has always had, so
+// existing checkpoints restore. The refit gate is taken first so an
+// in-flight refit is waited out, never captured mid-install.
 func (d *Detector) Snapshot(w io.Writer) error {
 	d.mu.Lock()
 	defer d.mu.Unlock()
@@ -840,7 +799,7 @@ func (d *Detector) Snapshot(w io.Writer) error {
 		sw.Int(d.links)
 		sw.Floats(d.alpha)
 		sw.Floats(d.level)
-		sw.Floats(d.trend)
+		sw.Floats(make([]float64, d.links)) // trend slot
 		sw.Bool(d.coef != nil)
 		if d.coef != nil {
 			sw.Floats(d.coef.periods)
@@ -904,6 +863,13 @@ func (d *Detector) Restore(r io.Reader) error {
 				return fmt.Errorf("%w: per-link state has %d entries, want %d", core.ErrSnapshotFormat, len(s), d.links)
 			}
 		}
+		// The trend slot is written as zeros; anything else (-0
+		// included) would not re-encode to the same bytes.
+		for l, v := range trend {
+			if math.Float64bits(v) != 0 {
+				return fmt.Errorf("%w: link %d trend slot is %v, want 0", core.ErrSnapshotFormat, l, v)
+			}
+		}
 		if len(alarmRun) != d.links {
 			return fmt.Errorf("%w: alarm runs have %d entries, want %d", core.ErrSnapshotFormat, len(alarmRun), d.links)
 		}
@@ -926,7 +892,7 @@ func (d *Detector) Restore(r io.Reader) error {
 			timeRing.Push(t)
 		}
 		d.alpha = alpha
-		d.level, d.trend = level, trend
+		d.level = level
 		d.coef = coef
 		d.rmean, d.rvar = rmean, rvar
 		d.alarmRun = alarmRun
@@ -958,8 +924,6 @@ func (d *Detector) Thresholds() []float64 {
 		switch d.kind {
 		case EWMA:
 			pred = d.level[l]
-		case HoltWinters:
-			pred = d.level[l] + d.trend[l]
 		case Fourier:
 			pred = mat.Dot(basis, d.coef.coef[l])
 		}

@@ -1,8 +1,12 @@
 package forecast
 
 import (
+	"bytes"
+	"encoding/binary"
+	"errors"
 	"math"
 	"math/rand"
+	"os"
 	"strings"
 	"sync"
 	"testing"
@@ -41,7 +45,7 @@ func splitRows(y *mat.Dense, at int) (*mat.Dense, *mat.Dense) {
 	return head, tail
 }
 
-func kinds() []Kind { return []Kind{EWMA, HoltWinters, Fourier} }
+func kinds() []Kind { return []Kind{EWMA, Fourier} }
 
 func TestDetectorFlagsSpikeEveryKind(t *testing.T) {
 	const historyBins, streamBins, spikeBin, spikeLink = 1008, 144, 60, 3
@@ -246,7 +250,7 @@ func TestConfigValidation(t *testing.T) {
 	cases := []Config{
 		{Kind: "arima"},
 		{Alpha: 1.5},
-		{Beta: -0.1},
+		{Kind: "holtwinters"},
 		{K: -1},
 		{Adapt: 2},
 		{BinHours: -1},
@@ -463,5 +467,70 @@ func TestRefitConcurrentWithProcessing(t *testing.T) {
 	}
 	if got := det.Stats().Processed; got != 640 {
 		t.Fatalf("processed %d want 640", got)
+	}
+}
+
+// TestCommittedEWMAEnvelope pins the ewma checkpoint format across
+// releases: testdata/ewma.nams was written by the detector below before
+// the trend-carrying holtwinters kind was retired, and must still
+// restore and re-encode byte for byte — the trend slot stays in the
+// payload as zeros. A non-zero (or negative-zero) trend entry would not
+// re-encode canonically, so it is refused as corrupt.
+func TestCommittedEWMAEnvelope(t *testing.T) {
+	want, err := os.ReadFile("testdata/ewma.nams")
+	if err != nil {
+		t.Fatal(err)
+	}
+	const historyBins, links = 96, 4
+	y := synthSeries(historyBins+32, links, 5, 0.02)
+	y.Set(historyBins+10, 1, y.At(historyBins+10, 1)+4e7)
+	history, stream := splitRows(y, historyBins)
+	fresh := func() *Detector {
+		det, err := NewDetector(history, Config{Kind: EWMA, Window: 64})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return det
+	}
+
+	// The same run today writes the same bytes.
+	live := fresh()
+	if _, err := live.ProcessBatch(stream); err != nil {
+		t.Fatal(err)
+	}
+	var got bytes.Buffer
+	if err := live.Snapshot(&got); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got.Bytes(), want) {
+		t.Fatal("ewma envelope differs from the committed one")
+	}
+
+	// The committed envelope restores and re-encodes byte for byte.
+	det := fresh()
+	if err := det.Restore(bytes.NewReader(want)); err != nil {
+		t.Fatal(err)
+	}
+	var again bytes.Buffer
+	if err := det.Snapshot(&again); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(again.Bytes(), want) {
+		t.Fatal("restored ewma envelope does not re-encode byte for byte")
+	}
+
+	// Header (14 bytes), links, then the alpha and level slices (each a
+	// 4-byte length and 8 bytes per link) precede the trend slot.
+	trend := 14 + 8 + 2*(4+8*links) + 4
+	for name, patch := range map[string]func([]byte){
+		"non-zero":      func(b []byte) { binary.LittleEndian.PutUint64(b, math.Float64bits(1)) },
+		"negative zero": func(b []byte) { binary.LittleEndian.PutUint64(b, math.Float64bits(math.Copysign(0, -1))) },
+	} {
+		bad := bytes.Clone(want)
+		patch(bad[trend+8*2:])
+		err := fresh().Restore(bytes.NewReader(bad))
+		if !errors.Is(err, core.ErrSnapshotFormat) || !strings.Contains(err.Error(), "trend") {
+			t.Fatalf("%s trend entry: got %v, want ErrSnapshotFormat naming the trend slot", name, err)
+		}
 	}
 }

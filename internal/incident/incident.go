@@ -412,7 +412,10 @@ func (c *Correlator) Restore(r io.Reader) error {
 		if err := sr.Err(); err != nil {
 			return err
 		}
-		open := make(map[Key]*Incident, n)
+		// The counts are untrusted: no capacity hint from n, and the
+		// view loop stops at the first failed read, so a lying count
+		// costs at most what the payload actually holds.
+		open := make(map[Key]*Incident)
 		lastID := -1
 		for i := uint32(0); i < n; i++ {
 			inc := &Incident{
@@ -428,7 +431,7 @@ func (c *Correlator) Restore(r io.Reader) error {
 			if err := sr.Err(); err != nil {
 				return err
 			}
-			for j := uint32(0); j < nv; j++ {
+			for j := uint32(0); j < nv && sr.Err() == nil; j++ {
 				inc.Views = append(inc.Views, sr.String())
 			}
 			if err := sr.Err(); err != nil {

@@ -321,3 +321,51 @@ func TestRestoreRejections(t *testing.T) {
 		}
 	})
 }
+
+// FuzzRestoreIncidents throws arbitrary bytes at a correlator's
+// Restore: any input must either restore cleanly or fail with a
+// classified error (format, mismatch, or truncation) — never a panic —
+// and an accepted envelope must re-encode byte-for-byte.
+func FuzzRestoreIncidents(f *testing.F) {
+	live := New(Config{QuietPeriod: 4})
+	live.Observe("net", alarm(5, 3, 2))
+	live.Observe("other", alarm(6, -1, 1))
+	live.Observe("net", alarm(7, 3, 4))
+	var valid bytes.Buffer
+	if err := live.Snapshot(&valid); err != nil {
+		f.Fatal(err)
+	}
+	f.Add(valid.Bytes())
+	f.Add(valid.Bytes()[:valid.Len()/2])
+	lying := bytes.Clone(valid.Bytes())
+	lying[6] -= 8 // payload length (little-endian) now short of the payload
+	f.Add(lying)
+	wrongKind := bytes.Clone(valid.Bytes())
+	wrongKind[5] = core.SnapKindMonitor
+	f.Add(wrongKind)
+	// One shared correlator: Restore decodes into locals and commits
+	// only on success, so a failed iteration leaves no partial state and
+	// a successful one fully defines the state the canonical check
+	// re-encodes.
+	c := New(Config{QuietPeriod: 4})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		r := bytes.NewReader(data)
+		err := c.Restore(r)
+		if err != nil {
+			if !errors.Is(err, core.ErrSnapshotFormat) &&
+				!errors.Is(err, core.ErrSnapshotMismatch) &&
+				!errors.Is(err, io.ErrUnexpectedEOF) {
+				t.Fatalf("unclassified restore error: %v", err)
+			}
+			return
+		}
+		consumed := data[:len(data)-r.Len()]
+		var out bytes.Buffer
+		if err := c.Snapshot(&out); err != nil {
+			t.Fatalf("snapshot after accepted restore: %v", err)
+		}
+		if !bytes.Equal(out.Bytes(), consumed) {
+			t.Fatalf("accepted envelope is not canonical: consumed %d bytes, re-encoded %d", len(consumed), out.Len())
+		}
+	})
+}

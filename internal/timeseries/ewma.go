@@ -2,8 +2,8 @@
 // extract "true" anomalies from OD flows (Section 6.2) and to contrast
 // against the subspace method (Section 7.3): EWMA forecasting with the
 // bidirectional minimum trick from footnote 4, Fourier basis-function
-// fitting over the paper's eight periods, Holt-Winters smoothing, spike
-// extraction, and knee detection for rank-ordered anomaly sizes.
+// fitting over the paper's eight periods, spike extraction, and knee
+// detection for rank-ordered anomaly sizes.
 package timeseries
 
 import (
@@ -116,43 +116,3 @@ func isFinite(v float64) bool { return !math.IsNaN(v) && !math.IsInf(v, 0) }
 
 // DefaultAlphaGrid spans the paper's working range with its neighbourhood.
 var DefaultAlphaGrid = []float64{0.1, 0.15, 0.2, 0.25, 0.3, 0.35, 0.4, 0.5}
-
-// HoltWinters is a double exponential smoother (level + trend). The paper
-// cites Holt-Winters as a forecasting-based detection alternative; it is
-// provided for completeness and used in ablation benchmarks.
-type HoltWinters struct {
-	// Alpha smooths the level, Beta the trend; both in [0,1].
-	Alpha, Beta float64
-}
-
-// Forecast returns one-step-ahead predictions: out[t] predicts z[t] from
-// z[0..t-1]. The level is seeded with z[0] and the trend with zero.
-func (h HoltWinters) Forecast(z []float64) []float64 {
-	if h.Alpha < 0 || h.Alpha > 1 || h.Beta < 0 || h.Beta > 1 {
-		panic(fmt.Sprintf("timeseries: HoltWinters parameters (%v,%v) out of [0,1]", h.Alpha, h.Beta))
-	}
-	out := make([]float64, len(z))
-	if len(z) == 0 {
-		return out
-	}
-	level := z[0]
-	trend := 0.0
-	out[0] = z[0]
-	for t := 1; t < len(z); t++ {
-		out[t] = level + trend
-		newLevel := h.Alpha*z[t] + (1-h.Alpha)*(level+trend)
-		trend = h.Beta*(newLevel-level) + (1-h.Beta)*trend
-		level = newLevel
-	}
-	return out
-}
-
-// Residuals returns |z[t] - forecast[t]| for the Holt-Winters forecast.
-func (h HoltWinters) Residuals(z []float64) []float64 {
-	pred := h.Forecast(z)
-	out := make([]float64, len(z))
-	for t := range z {
-		out[t] = math.Abs(z[t] - pred[t])
-	}
-	return out
-}

@@ -175,41 +175,6 @@ func TestSelectAlphaTieWithoutWorkingRangeCandidate(t *testing.T) {
 	}
 }
 
-func TestHoltWintersTracksLinearTrend(t *testing.T) {
-	z := make([]float64, 200)
-	for i := range z {
-		z[i] = 10 + 2*float64(i)
-	}
-	pred := HoltWinters{Alpha: 0.5, Beta: 0.3}.Forecast(z)
-	// After warm-up the forecaster must lock onto the trend.
-	for i := 150; i < 200; i++ {
-		if math.Abs(pred[i]-z[i]) > 0.5 {
-			t.Fatalf("HW pred[%d] = %v want %v", i, pred[i], z[i])
-		}
-	}
-}
-
-func TestHoltWintersResidualSpike(t *testing.T) {
-	z := make([]float64, 100)
-	for i := range z {
-		z[i] = 50
-	}
-	z[60] = 500
-	res := HoltWinters{Alpha: 0.3, Beta: 0.1}.Residuals(z)
-	if res[60] < 400 {
-		t.Fatalf("spike residual = %v", res[60])
-	}
-}
-
-func TestHoltWintersInvalidParams(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic")
-		}
-	}()
-	HoltWinters{Alpha: 0.5, Beta: -0.1}.Forecast([]float64{1})
-}
-
 func TestFourierFitsPureSinusoid(t *testing.T) {
 	// 1008 ten-minute bins over a week; a pure diurnal signal must be fit
 	// almost exactly by the 24h basis pair.

@@ -287,11 +287,6 @@ const (
 	// sliding-window model, full SVD refits, per-bin flow
 	// identification.
 	DetectorSubspace DetectorKind = "subspace"
-	// DetectorIncremental maintains the model from a running
-	// mean/covariance with forgetting factor lambda: no window
-	// snapshots, refits solve only the m x m eigenproblem, and the
-	// drift gate skips rebuilds when the subspace has not moved.
-	DetectorIncremental DetectorKind = "incremental"
 	// DetectorMultiFlow fans one subspace model per traffic metric
 	// (bytes / flow counts / packet size, Section 7.2) over shared
 	// routing and votes, catching scans that move flow counts without
@@ -304,9 +299,6 @@ const (
 	// baseline, streaming. Alarms localize in time and link, not OD
 	// flow (Diagnosis.Flow is -1).
 	DetectorEWMA DetectorKind = "ewma"
-	// DetectorHoltWinters is the level+trend double-exponential
-	// forecasting baseline with the same adaptive residual thresholds.
-	DetectorHoltWinters DetectorKind = "holtwinters"
 	// DetectorFourier fits the paper's eight-period sinusoid basis on a
 	// sliding window (refit in the background) and alarms on residuals
 	// against adaptive per-link thresholds (Section 6.2's temporal
@@ -334,12 +326,10 @@ const (
 
 type viewConfig struct {
 	kind       DetectorKind
-	lambda     float64
 	driftTol   float64
 	quorum     int
 	metrics    []string
 	alpha      float64
-	beta       float64
 	k          float64
 	triage     DetectorKind
 	escalation string
@@ -357,25 +347,18 @@ func WithDetector(kind DetectorKind) ViewOption {
 }
 
 // WithDetectorKind selects the backend kind by its string name
-// ("subspace", "incremental", "multiflow", "ewma", "holtwinters",
-// "fourier", "hybrid", "sketch") — a convenience for callers plumbing
-// the kind from flags or config files; unknown names fail in AddView.
+// ("subspace", "multiflow", "ewma", "fourier", "hybrid", "sketch") — a
+// convenience for callers plumbing the kind from flags or config files;
+// unknown names fail in AddView.
 func WithDetectorKind(kind string) ViewOption {
 	return WithDetector(DetectorKind(kind))
 }
 
-// WithAlpha sets the forecast backends' level smoothing gain in (0, 1].
-// For DetectorEWMA, 0 (the default) selects alpha per link by grid
-// search on the seed history, mirroring the paper's multi-grid
-// parameter search; DetectorHoltWinters defaults to 0.3.
+// WithAlpha sets DetectorEWMA's smoothing gain in (0, 1]. 0 (the
+// default) selects alpha per link by grid search on the seed history,
+// mirroring the paper's multi-grid parameter search.
 func WithAlpha(alpha float64) ViewOption {
 	return func(vc *viewConfig) { vc.alpha = alpha }
-}
-
-// WithBeta sets the Holt-Winters trend smoothing gain in (0, 1]
-// (default 0.1).
-func WithBeta(beta float64) ViewOption {
-	return func(vc *viewConfig) { vc.beta = beta }
 }
 
 // WithThresholdK sets the forecast backends' threshold multiplier: a
@@ -386,9 +369,8 @@ func WithThresholdK(k float64) ViewOption {
 }
 
 // WithTriageKind selects the hybrid backend's triage stage: one of the
-// forecast kinds (DetectorEWMA, the default, DetectorHoltWinters or
-// DetectorFourier). The forecast options (WithAlpha, WithBeta,
-// WithThresholdK) configure it.
+// forecast kinds (DetectorEWMA, the default, or DetectorFourier). The
+// forecast options (WithAlpha, WithThresholdK) configure it.
 func WithTriageKind(kind DetectorKind) ViewOption {
 	return func(vc *viewConfig) { vc.triage = kind }
 }
@@ -444,14 +426,7 @@ func WithViewOverloadPolicy(p OverloadPolicy) ViewOption {
 	}
 }
 
-// WithLambda sets the incremental backend's forgetting factor in
-// (0, 1]; 1 weights all history equally, 0.999 forgets with roughly a
-// one-week time constant at ten-minute bins.
-func WithLambda(lambda float64) ViewOption {
-	return func(vc *viewConfig) { vc.lambda = lambda }
-}
-
-// WithDriftTolerance sets the incremental backend's rebuild gate: an
+// WithDriftTolerance sets the sketch backend's rebuild gate: an
 // automatic refit only swaps the model in when the residual projector
 // has moved at least tol in Frobenius norm.
 func WithDriftTolerance(tol float64) ViewOption {
@@ -472,15 +447,15 @@ func WithMetrics(names ...string) ViewOption {
 
 // AddView registers a detector shard on the monitor for a topology's
 // measurement stream, with the backend selected by options. history
-// seeds the model: bins x links for the subspace, incremental, sketch,
-// forecast (ewma / holtwinters / fourier) and hybrid kinds, bins x
-// (metrics x links) column-stacked for multiflow. The monitor's
+// seeds the model: bins x links for the subspace, sketch, forecast
+// (ewma / fourier) and hybrid kinds, bins x (metrics x links)
+// column-stacked for multiflow. The monitor's
 // Window, RefitEvery and Options configure every kind uniformly (the
 // forecast kinds take their thresholds from WithThresholdK rather than
 // Options.Confidence). See docs/BACKENDS.md for the backend selection
 // guide.
 func AddView(m *Monitor, name string, history *Matrix, topo *Topology, opts ...ViewOption) error {
-	vc := viewConfig{kind: DetectorSubspace, lambda: 1, quorum: 1}
+	vc := viewConfig{kind: DetectorSubspace, quorum: 1}
 	for _, o := range opts {
 		o(&vc)
 	}
@@ -521,13 +496,6 @@ func newViewDetector(vc *viewConfig, history *Matrix, topo *Topology, cfg Monito
 			RefitEvery: cfg.RefitEvery,
 			Options:    cfg.Options,
 		})
-	case DetectorIncremental:
-		return core.NewIncrementalDetector(history, routing, core.IncrementalConfig{
-			Lambda:     vc.lambda,
-			RefitEvery: cfg.RefitEvery,
-			DriftTol:   vc.driftTol,
-			Options:    cfg.Options,
-		})
 	case DetectorMultiFlow:
 		return netmeas.NewMultiMetricDetector(history, routing, netmeas.MultiMetricConfig{
 			Metrics: vc.metrics,
@@ -538,11 +506,10 @@ func newViewDetector(vc *viewConfig, history *Matrix, topo *Topology, cfg Monito
 				Options:    cfg.Options,
 			},
 		})
-	case DetectorEWMA, DetectorHoltWinters, DetectorFourier:
+	case DetectorEWMA, DetectorFourier:
 		return forecast.NewDetector(history, forecast.Config{
 			Kind:       forecast.Kind(vc.kind),
 			Alpha:      vc.alpha,
-			Beta:       vc.beta,
 			K:          vc.k,
 			Window:     window,
 			RefitEvery: cfg.RefitEvery,
@@ -584,7 +551,7 @@ func buildHybrid(vc viewConfig, history *Matrix, routing *Matrix, window int, cf
 		tkind = DetectorEWMA
 	}
 	switch tkind {
-	case DetectorEWMA, DetectorHoltWinters, DetectorFourier:
+	case DetectorEWMA, DetectorFourier:
 	default:
 		return nil, fmt.Errorf("triage stage must be a forecast kind, got %q", tkind)
 	}
@@ -595,7 +562,6 @@ func buildHybrid(vc viewConfig, history *Matrix, routing *Matrix, window int, cf
 	triage, err := forecast.NewDetector(history, forecast.Config{
 		Kind:       forecast.Kind(tkind),
 		Alpha:      vc.alpha,
-		Beta:       vc.beta,
 		K:          vc.k,
 		Window:     window,
 		RefitEvery: cfg.RefitEvery,
@@ -755,7 +721,7 @@ func Restore(cfg MonitorConfig, r io.Reader, views []ViewSpec, opts ...MonitorOp
 		if !ok {
 			return nil, fmt.Errorf("netanomaly: checkpoint holds view %q but no ViewSpec describes it", name)
 		}
-		vc := viewConfig{kind: DetectorSubspace, lambda: 1, quorum: 1}
+		vc := viewConfig{kind: DetectorSubspace, quorum: 1}
 		for _, o := range spec.Options {
 			o(&vc)
 		}

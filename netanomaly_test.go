@@ -403,12 +403,10 @@ func TestAddViewBackendsViaPublicAPI(t *testing.T) {
 	mon := netanomaly.NewMonitor(netanomaly.MonitorConfig{Workers: 4, BatchSize: 32})
 	defer mon.Close()
 	for name, opts := range map[string][]netanomaly.ViewOption{
-		"subspace":    nil,
-		"incremental": {netanomaly.WithDetector(netanomaly.DetectorIncremental), netanomaly.WithLambda(0.999)},
-		"ewma":        {netanomaly.WithDetectorKind("ewma"), netanomaly.WithThresholdK(6)},
-		"holtwinters": {netanomaly.WithDetector(netanomaly.DetectorHoltWinters), netanomaly.WithAlpha(0.3), netanomaly.WithBeta(0.1)},
-		"fourier":     {netanomaly.WithDetector(netanomaly.DetectorFourier)},
-		"sketch":      {netanomaly.WithDetector(netanomaly.DetectorSketch)},
+		"subspace": nil,
+		"ewma":     {netanomaly.WithDetectorKind("ewma"), netanomaly.WithThresholdK(6)},
+		"fourier":  {netanomaly.WithDetector(netanomaly.DetectorFourier)},
+		"sketch":   {netanomaly.WithDetector(netanomaly.DetectorSketch)},
 	} {
 		if err := netanomaly.AddView(mon, name, history, topo, opts...); err != nil {
 			t.Fatal(err)
@@ -422,11 +420,17 @@ func TestAddViewBackendsViaPublicAPI(t *testing.T) {
 	if err := netanomaly.AddView(mon, "bad", stackedHistory, topo); err == nil || !strings.Contains(err.Error(), "columns") {
 		t.Fatalf("stacked history accepted by subspace backend: %v", err)
 	}
+	// Retired backends are unknown kinds now, named in the error.
+	for _, kind := range []string{"incremental", "holtwinters"} {
+		if err := netanomaly.AddView(mon, "bad", history, topo, netanomaly.WithDetectorKind(kind)); err == nil || !strings.Contains(err.Error(), kind) {
+			t.Fatalf("retired %s backend accepted: %v", kind, err)
+		}
+	}
 
 	if err := mon.IngestStream("subspace", netanomaly.StreamMatrix(context.Background(), stream, 0)); err != nil {
 		t.Fatal(err)
 	}
-	for _, v := range []string{"incremental", "ewma", "holtwinters", "fourier", "sketch"} {
+	for _, v := range []string{"ewma", "fourier", "sketch"} {
 		if err := mon.Ingest(v, stream); err != nil {
 			t.Fatal(err)
 		}
@@ -444,7 +448,7 @@ func TestAddViewBackendsViaPublicAPI(t *testing.T) {
 			hits[a.View] = true
 		}
 	}
-	for _, v := range []string{"subspace", "incremental", "multiflow", "ewma", "holtwinters", "fourier", "sketch"} {
+	for _, v := range []string{"subspace", "multiflow", "ewma", "fourier", "sketch"} {
 		if !hits[v] {
 			t.Fatalf("view %q missed the injected spike", v)
 		}
@@ -489,9 +493,11 @@ func TestOnlineDetectorViaPublicAPI(t *testing.T) {
 	}
 }
 
-// TestRestoreRefusesRetiredMultiscaleKind hands Restore a checkpoint
-// whose detector envelope carries the retired multiscale kind byte: it
-// must be refused as a mismatch, not read as corruption.
+// TestRestoreRefusesRetiredMultiscaleKind hands Restore checkpoints
+// whose detector envelope carries a retired backend's kind byte —
+// multiscale, incremental, holtwinters, and a hybrid whose triage stage
+// was holtwinters: each must be refused as a mismatch, not read as
+// corruption.
 func TestRestoreRefusesRetiredMultiscaleKind(t *testing.T) {
 	topo := netanomaly.Abilene()
 	cfg := netanomaly.DefaultTrafficConfig(17)
@@ -501,31 +507,50 @@ func TestRestoreRefusesRetiredMultiscaleKind(t *testing.T) {
 		t.Fatal(err)
 	}
 	history := netanomaly.LinkLoads(topo, od)
-	mon := netanomaly.NewMonitor(netanomaly.MonitorConfig{})
-	if err := netanomaly.AddView(mon, "net", history, topo); err != nil {
-		t.Fatal(err)
-	}
-	mon.Close()
-	var ckpt bytes.Buffer
-	if err := mon.Checkpoint(&ckpt); err != nil {
-		t.Fatal(err)
-	}
-	// Monitor, view and detector envelopes nest in that order; the
-	// third "NAMS" magic opens the detector's.
-	data := ckpt.Bytes()
-	at := 0
-	for range 2 {
-		next := bytes.Index(data[at+1:], []byte("NAMS"))
-		if next < 0 {
-			t.Fatal("checkpoint nests fewer than three envelopes")
+	checkpoint := func(opts ...netanomaly.ViewOption) []byte {
+		mon := netanomaly.NewMonitor(netanomaly.MonitorConfig{})
+		if err := netanomaly.AddView(mon, "net", history, topo, opts...); err != nil {
+			t.Fatal(err)
 		}
-		at += 1 + next
+		mon.Close()
+		var ckpt bytes.Buffer
+		if err := mon.Checkpoint(&ckpt); err != nil {
+			t.Fatal(err)
+		}
+		return ckpt.Bytes()
 	}
-	data[at+5] = 3 // the reserved multiscale kind
-	spec := netanomaly.ViewSpec{History: history, Topo: topo}
-	_, err = netanomaly.Restore(netanomaly.MonitorConfig{}, bytes.NewReader(data), []netanomaly.ViewSpec{spec})
-	if !errors.Is(err, netanomaly.ErrSnapshotMismatch) || errors.Is(err, netanomaly.ErrSnapshotFormat) {
-		t.Fatalf("multiscale checkpoint restored as subspace: %v", err)
+	hybrid := []netanomaly.ViewOption{netanomaly.WithDetector(netanomaly.DetectorHybrid)}
+	for _, tc := range []struct {
+		name string
+		opts []netanomaly.ViewOption
+		// nth is which "NAMS" magic to rewrite: monitor, view and
+		// detector envelopes nest in that order, and a hybrid's triage
+		// stage comes fourth.
+		nth  int
+		kind byte
+	}{
+		{"multiscale", nil, 3, 3},
+		{"incremental", nil, 3, 2},
+		{"holtwinters", nil, 3, 6},
+		{"hybrid with holtwinters triage", hybrid, 4, 6},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			data := checkpoint(tc.opts...)
+			at := -1
+			for range tc.nth {
+				next := bytes.Index(data[at+1:], []byte("NAMS"))
+				if next < 0 {
+					t.Fatalf("checkpoint nests fewer than %d envelopes", tc.nth)
+				}
+				at += 1 + next
+			}
+			data[at+5] = tc.kind
+			spec := netanomaly.ViewSpec{History: history, Topo: topo, Options: tc.opts}
+			_, err := netanomaly.Restore(netanomaly.MonitorConfig{}, bytes.NewReader(data), []netanomaly.ViewSpec{spec})
+			if !errors.Is(err, netanomaly.ErrSnapshotMismatch) || errors.Is(err, netanomaly.ErrSnapshotFormat) {
+				t.Fatalf("%s checkpoint restored: %v", tc.name, err)
+			}
+		})
 	}
 }
 
